@@ -5,9 +5,22 @@ on :class:`Dual` arguments propagates first (and optionally second)
 derivatives with respect to a chosen set of seed directions.  Values may be
 numpy arrays, in which case derivatives are carried for every entry at once,
 so one call differentiates a whole batch of evaluation points.
+
+Derivatives are tracked per support: a Dual stores its gradient and Hessian
+only over the sorted seed directions it depends on, so a residual that
+reads two of twelve arguments costs two gradient rows and four Hessian
+planes, not twelve and 144.  A binary operation zero-pads both operands to
+the union of their supports and then applies the dense formula, so every
+stored entry is produced by the same floating-point operations, in the same
+order, as with dense derivatives.  Bit-for-bit agreement with the dense
+propagation is a contract (up to the sign of zero, and except where a
+derivative is non-finite: entries outside the support are exact zeros,
+where the dense product ``0 * inf`` would give NaN).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,25 +28,81 @@ __all__ = ["Dual", "seed", "value", "sin", "cos", "tan", "exp", "log", "sqrt", "
 
 
 def _outer(a, b):
-    # (m, ...) x (m, ...) -> (m, m, ...), batched over trailing axes
+    # (s, ...) x (s, ...) -> (s, s, ...), batched over trailing axes
     return np.einsum("i...,j...->ij...", a, b)
+
+
+@lru_cache(maxsize=4096)
+def _union(sa, sb):
+    """Sorted union of two supports and the positions of each in it."""
+    sup = tuple(sorted(set(sa) | set(sb)))
+    pos = {s: i for i, s in enumerate(sup)}
+    return sup, np.array([pos[s] for s in sa]), np.array([pos[s] for s in sb])
+
+
+def _pad(x, idx, n, order):
+    """Zero-pad ``x`` (``order`` leading support axes) to ``n`` support
+    entries placed at ``idx``."""
+    if x is None or len(idx) == n:
+        return x
+    out = np.zeros((n,) * order + x.shape[order:], dtype=x.dtype)
+    out[np.ix_(*(idx,) * order)] = x
+    return out
+
+
+def _aligned(a, b):
+    """Common support of two Duals and their derivatives padded to it."""
+    if a.sup == b.sup:
+        return a.sup, a.g, b.g, a.h, b.h
+    sup, ia, ib = _union(a.sup, b.sup)
+    n = len(sup)
+    return (sup, _pad(a.g, ia, n, 1), _pad(b.g, ib, n, 1),
+            _pad(a.h, ia, n, 2), _pad(b.h, ib, n, 2))
 
 
 class Dual:
     """Truncated Taylor scalar: value, gradient, optional Hessian.
 
     ``grad`` has shape ``(m,) + shape(val)`` for ``m`` seed directions;
-    ``hess``, when present, has shape ``(m, m) + shape(val)``.  Mixing a
-    second-order Dual with a first-order Dual is not supported; constants
-    (plain floats/arrays) mix freely with either.
+    ``hess``, when present, has shape ``(m, m) + shape(val)``.  Both are
+    dense views built from the stored support-restricted arrays ``g`` of
+    shape ``(len(sup),) + shape(val)`` and ``h`` of shape
+    ``(len(sup), len(sup)) + shape(val)``.  Mixing a second-order Dual with
+    a first-order Dual is not supported; constants (plain floats/arrays)
+    mix freely with either.
     """
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("val", "sup", "g", "h", "m")
 
     def __init__(self, val, grad, hess=None):
+        grad = np.asarray(grad)
         self.val = val
-        self.grad = grad
-        self.hess = hess
+        self.m = grad.shape[0]
+        self.sup = tuple(range(self.m))
+        self.g = grad
+        self.h = hess
+
+    @classmethod
+    def _new(cls, val, sup, g, h, m):
+        out = cls.__new__(cls)
+        out.val, out.sup, out.g, out.h, out.m = val, sup, g, h, m
+        return out
+
+    @property
+    def grad(self):
+        if len(self.sup) == self.m:
+            return self.g
+        out = np.zeros((self.m,) + self.g.shape[1:], dtype=self.g.dtype)
+        out[list(self.sup)] = self.g
+        return out
+
+    @property
+    def hess(self):
+        if self.h is None or len(self.sup) == self.m:
+            return self.h
+        out = np.zeros((self.m, self.m) + self.h.shape[2:], dtype=self.h.dtype)
+        out[np.ix_(self.sup, self.sup)] = self.h
+        return out
 
     def __repr__(self):
         return f"Dual(val={self.val!r})"
@@ -41,17 +110,18 @@ class Dual:
     # -- addition / subtraction ------------------------------------------
     def __add__(self, other):
         if isinstance(other, Dual):
+            sup, sg, og, sh, oh = _aligned(self, other)
             h = None
-            if self.hess is not None:
-                h = self.hess + other.hess
-            return Dual(self.val + other.val, self.grad + other.grad, h)
-        return Dual(self.val + other, self.grad, self.hess)
+            if sh is not None:
+                h = sh + oh
+            return Dual._new(self.val + other.val, sup, sg + og, h, self.m)
+        return Dual._new(self.val + other, self.sup, self.g, self.h, self.m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        h = None if self.hess is None else -self.hess
-        return Dual(-self.val, -self.grad, h)
+        h = None if self.h is None else -self.h
+        return Dual._new(-self.val, self.sup, -self.g, h, self.m)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Dual) else -np.asarray(other))
@@ -62,21 +132,19 @@ class Dual:
     # -- multiplication / division ---------------------------------------
     def __mul__(self, other):
         if isinstance(other, Dual):
+            sup, sg, og, sh, oh = _aligned(self, other)
             h = None
-            if self.hess is not None:
+            if sh is not None:
                 h = (
-                    self.hess * other.val
-                    + other.hess * self.val
-                    + _outer(self.grad, other.grad)
-                    + _outer(other.grad, self.grad)
+                    sh * other.val
+                    + oh * self.val
+                    + _outer(sg, og)
+                    + _outer(og, sg)
                 )
-            return Dual(
-                self.val * other.val,
-                self.grad * other.val + other.grad * self.val,
-                h,
-            )
-        h = None if self.hess is None else self.hess * other
-        return Dual(self.val * other, self.grad * other, h)
+            return Dual._new(self.val * other.val, sup,
+                             sg * other.val + og * self.val, h, self.m)
+        h = None if self.h is None else self.h * other
+        return Dual._new(self.val * other, self.sup, self.g * other, h, self.m)
 
     __rmul__ = __mul__
 
@@ -104,16 +172,17 @@ class Dual:
 def _unary(x: Dual, f0, f1, f2):
     """Chain rule for a scalar function with precomputed f(v), f'(v), f''(v)."""
     hess = None
-    if x.hess is not None:
-        hess = f2 * _outer(x.grad, x.grad) + f1 * x.hess
-    return Dual(f0, f1 * x.grad, hess)
+    if x.h is not None:
+        hess = f2 * _outer(x.g, x.g) + f1 * x.h
+    return Dual._new(f0, x.sup, f1 * x.g, hess, x.m)
 
 
 def seed(values, m: int, offset: int = 0, second_order: bool = False):
     """Seed ``k`` components as Duals with unit directions ``offset..offset+k-1``.
 
     ``values`` is array-like of shape ``(k,)`` or ``(k, n)``; returns a list
-    of ``k`` Duals sharing the total seed dimension ``m``.
+    of ``k`` Duals sharing the total seed dimension ``m``, each supported on
+    its own direction.
     """
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.floating):
@@ -121,10 +190,9 @@ def seed(values, m: int, offset: int = 0, second_order: bool = False):
     tail = values.shape[1:]
     out = []
     for i in range(values.shape[0]):
-        g = np.zeros((m,) + tail, dtype=values.dtype)
-        g[offset + i] = 1.0
-        h = np.zeros((m, m) + tail, dtype=values.dtype) if second_order else None
-        out.append(Dual(values[i], g, h))
+        g = np.ones((1,) + tail, dtype=values.dtype)
+        h = np.zeros((1, 1) + tail, dtype=values.dtype) if second_order else None
+        out.append(Dual._new(values[i], (offset + i,), g, h, m))
     return out
 
 

@@ -50,7 +50,6 @@ class RunConfig:
     grad_tol: float | None = None
     max_iters: int | None = None
     output_dir: str = "."
-    seed: int = 0
 
     def __post_init__(self):
         if self.problem not in registered_names():
@@ -304,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grad-tol", type=float, dest="grad_tol")
         sp.add_argument("--max-iters", type=int, dest="max_iters")
         sp.add_argument("--output-dir", dest="output_dir")
-        sp.add_argument("--seed", type=int)
 
     add_common(sub.add_parser("solve", help="solve one problem, write artifacts"))
     study = sub.add_parser("study", help="mesh-refinement sweep")
@@ -327,7 +325,7 @@ def main(argv=None) -> int:
         k: getattr(args, k)
         for k in ("problem", "method", "n_elements", "p", "omega", "tau",
                   "continuation_start", "grad_tol", "max_iters",
-                  "output_dir", "seed")
+                  "output_dir")
     }
     try:
         config = RunConfig.from_sources(args.config, overrides)

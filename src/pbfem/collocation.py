@@ -124,9 +124,6 @@ class _CollocationNLP:
     def from_trajectory(self, trajectory) -> np.ndarray:
         return self._sample_plan(trajectory)
 
-    def initial_vector(self) -> np.ndarray:
-        return np.zeros(self.dimension)
-
 
 def _node_based_nlp(problem, mesh, scheme, params, with_midpoints):
     """TR (endpoints) and HS (endpoints plus midpoints): one state, one

@@ -9,6 +9,15 @@ Assembly is vectorized: every problem callable is evaluated once per merit
 (or gradient, or Hessian) evaluation, on arrays covering all quadrature
 nodes of all intervals, with forward-mode differentiation scalars carrying
 derivatives with respect to the local coefficient couplings.
+
+The Newton build works only on structurally nonzero entries and does its
+symbolic work once per transcription: element Hessians are summed over the
+argument planes where the curvature is nonzero, and the sparse patterns of
+the Hessian and constraint Jacobian are fixed by conversion plans made on
+the first ``newton_system`` call.  Bit-exactness is a contract: gradients
+and Newton matrices equal, bit for bit, those of the dense assembly that
+evaluates one ``np.einsum`` over all planes and converts COO triplets with
+scipy on every iteration (tests/test_newton_parity.py).
 """
 
 from __future__ import annotations
@@ -88,22 +97,126 @@ def _dual_parts(v, m, shape, second_order=False):
     return val, grad, hess
 
 
+class _SparsePlan:
+    """The symbolic half of scipy's COO -> CSR/CSC conversion for a fixed
+    entry pattern, so that each numeric fill is a gather and a sum.
+
+    ``matrix(vals)`` equals ``coo_matrix((vals, (rows, cols)), shape)``
+    converted with ``.tocsr()`` (``fmt="csr"``) or ``.tocsc()`` bit for
+    bit: entries are bucketed stably by major index as ``coo_tocsr`` does,
+    scipy's own in-line index sort is run once on entry numbers to fix the
+    order in which duplicates meet, and duplicates are then summed
+    sequentially in that order, as ``csr_sum_duplicates`` sums them.
+    ``layout[i]``, when given, is where the i-th COO entry sits in the
+    array handed to ``matrix``.
+    """
+
+    def __init__(self, rows, cols, shape, fmt, layout=None):
+        # int32 throughout and intermediates dropped early: the plan is
+        # built inside a solve, where its transient memory is peak memory
+        csc = fmt == "csc"
+        major, minor = (cols, rows) if csc else (rows, cols)
+        n_major, n_minor = (shape[1], shape[0]) if csc else shape
+        indptr = np.zeros(n_major + 1, dtype=np.int32)
+        np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
+        order = np.argsort(major, kind="stable")
+        tagged = scipy.sparse.csr_matrix(
+            (order.astype(np.float64), minor[order].astype(np.int32, copy=False), indptr),
+            shape=(n_major, n_minor),
+        )
+        del order
+        tagged.sort_indices()
+        minor_s = tagged.indices
+        perm = tagged.data.astype(np.intp)
+        del tagged
+        self.perm = (perm if layout is None else layout[perm]).astype(np.int32, copy=False)
+        del perm
+        major_s = np.repeat(np.arange(n_major, dtype=np.int32), np.diff(indptr))
+        first = np.empty(len(minor_s), dtype=bool)
+        first[:1] = True
+        np.not_equal(minor_s[1:], minor_s[:-1], out=first[1:])
+        first[1:] |= major_s[1:] != major_s[:-1]
+        self.run = np.cumsum(first, dtype=np.int32)
+        self.run -= 1
+        self.indices = minor_s[first]
+        self.indptr = np.zeros(n_major + 1, dtype=np.int32)
+        np.cumsum(np.bincount(major_s[first], minlength=n_major), out=self.indptr[1:])
+        self.shape = shape
+        self._cls = scipy.sparse.csc_matrix if csc else scipy.sparse.csr_matrix
+
+    def matrix(self, vals):
+        data = np.bincount(self.run, weights=vals[self.perm], minlength=len(self.indices))
+        return self._cls((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _diagonal_slots(A):
+    """For canonical square CSC ``A``: where each diagonal entry is stored
+    (or would be inserted), and whether it is stored."""
+    n = A.shape[0]
+    cols = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    on_diag = np.flatnonzero(A.indices == cols)
+    pos = np.empty(n, dtype=np.intp)
+    pos[cols[on_diag]] = on_diag
+    stored = np.zeros(n, dtype=bool)
+    stored[cols[on_diag]] = True
+    if not stored.all():
+        # rows are sorted within a column: insert after those above the diagonal
+        above = np.bincount(cols[A.indices < cols], minlength=n)
+        missing = ~stored
+        pos[missing] = A.indptr[:-1][missing] + above[missing]
+    return pos, stored
+
+
+def _shifted(A, slots, shift):
+    """CSC arrays of ``A + shift * I`` as scipy's sparse addition forms
+    them from canonical ``A``: the shift lands on the stored diagonal (or
+    is inserted where none is stored) and exact zeros are dropped."""
+    pos, stored = slots
+    data = A.data.copy()
+    data[pos[stored]] += shift
+    indices, indptr = A.indices, A.indptr
+    if not stored.all():
+        missing = ~stored
+        data = np.insert(data, pos[missing], shift)
+        indices = np.insert(indices, pos[missing], np.flatnonzero(missing))
+        indptr = indptr + np.concatenate(([0], np.cumsum(missing)))
+    keep = data != 0
+    if not keep.all():
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        data, indices = data[keep], indices[keep]
+    return data, indices, indptr
+
+
+def _memory_positions(a):
+    """Where each element of a dense (possibly transposed) array sits in
+    its memory, listed in C index order: ``a.ravel(order="K")[p] ==
+    a.ravel()`` for the result ``p``."""
+    pos = np.zeros(a.shape, dtype=np.int32)
+    for axis, (n, stride) in enumerate(zip(a.shape, a.strides)):
+        step = np.arange(n, dtype=np.int32) * (stride // a.itemsize)
+        pos += step.reshape((n,) + (1,) * (a.ndim - axis - 1))
+    return pos.ravel()
+
+
+def _factor(K):
+    if not np.all(np.isfinite(K.data)):
+        # SuperLU neither raises nor warns cleanly on non-finite input
+        raise ValueError("non-finite Newton matrix")
+    return scipy.sparse.linalg.splu(K)
+
+
 class _ShiftedSystem:
     """Newton model (H + mu I) d = -g solved by sparse LU."""
 
     def __init__(self, H):
         self.H = H.tocsc()
-        n = H.shape[0]
-        self._eye = scipy.sparse.identity(n, format="csc")
+        self.H.sum_duplicates()  # sparse products may leave rows unsorted
+        self._diag = _diagonal_slots(self.H)
         self.diag_scale = float(np.max(np.abs(H.diagonal()))) if H.nnz else 1.0
 
     def solve(self, g, shift):
-        K = (self.H + shift * self._eye).tocsc()
-        if not np.all(np.isfinite(K.data)):
-            # SuperLU neither raises nor warns cleanly on non-finite input
-            raise ValueError("non-finite Newton matrix")
-        lu = scipy.sparse.linalg.splu(K)
-        return lu.solve(-np.asarray(g, dtype=np.float64))
+        K = scipy.sparse.csc_matrix(_shifted(self.H, self._diag, shift), shape=self.H.shape)
+        return _factor(K).solve(-np.asarray(g, dtype=np.float64))
 
 
 class _SaddleSystem:
@@ -123,7 +236,9 @@ class _SaddleSystem:
 
     def __init__(self, B, J, C, g_smooth, omega, dim):
         self.B = B.tocsc()
-        self.J = J.tocsr()
+        self._diag = _diagonal_slots(self.B)
+        self._Jc = J.tocsc()  # lower-left block, rows sorted per column
+        self._Jr = self._Jc.tocsr()  # upper-right block J^T, by row of J
         self.C = C
         self.g_smooth = g_smooth
         self.omega = omega
@@ -132,18 +247,36 @@ class _SaddleSystem:
             float(np.max(np.abs(B.diagonal()))) if B.nnz else 0.0, 1.0
         )
 
+    def _matrix(self, shift):
+        """The saddle matrix in canonical CSC, laid out column by column
+        as scipy's block assembly lays it out: column c < n holds the
+        entries of B + shift I (exact zeros dropped) and then those of J;
+        column n + r holds row r of J and then -omega on the diagonal."""
+        n, Jc, Jr = self.dim, self._Jc, self._Jr
+        nr = Jc.shape[0]
+        b_data, b_indices, b_indptr = _shifted(self.B, self._diag, shift)
+        nb, nj, nt = np.diff(b_indptr), np.diff(Jc.indptr), np.diff(Jr.indptr)
+        indptr = np.zeros(n + nr + 1, dtype=np.int32)
+        np.cumsum(np.concatenate([nb + nj, nt + 1]), out=indptr[1:])
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+
+        def place(start, src_indptr, counts, vals, rows):
+            dst = np.repeat(start - src_indptr[:-1], counts) + np.arange(len(vals))
+            data[dst] = vals
+            indices[dst] = rows
+
+        place(indptr[:n], b_indptr, nb, b_data, b_indices)
+        place(indptr[:n] + nb, Jc.indptr, nj, Jc.data, Jc.indices + n)
+        place(indptr[n:-1], Jr.indptr, nt, Jr.data, Jr.indices)
+        data[indptr[n + 1:] - 1] = -self.omega
+        indices[indptr[n + 1:] - 1] = np.arange(n, n + nr)
+        return scipy.sparse.csc_matrix((data, indices, indptr), shape=(n + nr, n + nr))
+
     def solve(self, g, shift):
-        n, nr = self.dim, self.J.shape[0]
-        Ix = scipy.sparse.identity(n, format="csc")
-        Ic = scipy.sparse.identity(nr, format="csc")
-        K = scipy.sparse.bmat(
-            [[self.B + shift * Ix, self.J.T], [self.J, -self.omega * Ic]],
-            format="csc",
-        )
-        if not np.all(np.isfinite(K.data)):
-            # SuperLU neither raises nor warns cleanly on non-finite input
-            raise ValueError("non-finite Newton matrix")
-        lu = scipy.sparse.linalg.splu(K)
+        n = self.dim
+        K = self._matrix(shift)
+        lu = _factor(K)
         rhs = np.concatenate([-self.g_smooth, -self.C])
         z = lu.solve(rhs)
         # one pass of iterative refinement: the graded factors lose a few
@@ -201,12 +334,12 @@ class _Engine:
         else:
             self.Pb = None
 
-        # Hessian scatter pattern: per batch interval, a dense block over
-        # the m * L local slots (duplicate indices are summed by COO)
-        mL = self.m * self.L
-        Gl = self.gidx.transpose(1, 0, 2).reshape(self.n_batch, mL)
-        self._h_rows = np.repeat(Gl, mL, axis=1).ravel()
-        self._h_cols = np.tile(Gl, (1, mL)).ravel()
+        # sparse conversion plans and the element-Hessian kernel choice,
+        # fixed by the pattern and made on the first newton_system call
+        self._h_plan = None
+        self._jq_plan = None
+        self._planewise = None
+        self._A_qklb = None
 
     def _cast(self, name: str, arr, dtype):
         """Dtype-cast view of a fixed array, cached per dtype."""
@@ -435,7 +568,7 @@ class _Engine:
                     w64 / omega,
                     optimize=True,
                 )
-        Hloc = np.einsum("kbql,kjbq,jbqr->bkljr", A64, M, A64, optimize=True)
+        Hloc = self._element_hessians(M)
         if nz:
             zvals64 = np.asarray(vals[k0 : k0 + nz], dtype=np.float64)
             for j in range(nz):
@@ -443,11 +576,16 @@ class _Engine:
                 Hloc[:, k, :, k, :] += np.einsum(
                     "bq,bql,bqr->blr", tau * w64 / zvals64[j] ** 2, A64[k], A64[k]
                 )
-        mL = self.m * self.L
-        H = scipy.sparse.coo_matrix(
-            (Hloc.reshape(self.n_batch, mL, mL).ravel(), (self._h_rows, self._h_cols)),
-            shape=(self.dim, self.dim),
-        ).tocsc()
+        if self._h_plan is None:
+            # COO entries in (b, k, l, j, r) order, as the per-interval
+            # dense blocks over the m * L local slots were always scattered
+            mL = self.m * self.L
+            Gl = self.gidx.transpose(1, 0, 2).reshape(self.n_batch, mL).astype(np.int32)
+            self._h_plan = _SparsePlan(
+                np.repeat(Gl, mL, axis=1).ravel(), np.tile(Gl, (1, mL)).ravel(),
+                (self.dim, self.dim), "csc", _memory_positions(Hloc),
+            )
+        H = self._h_plan.matrix(Hloc.ravel(order="K"))
         if saddle:
             # constraint Jacobian in the constraint_vector row order
             Jparts, Cparts = [], []
@@ -460,11 +598,9 @@ class _Engine:
                 jq_vals = np.einsum(
                     "bq,rkbq,kbql->bqrkl", sw64, cgrad64, A64, optimize=True
                 )
-                rows, cols = self._jq_pattern()
-                Jq = scipy.sparse.coo_matrix(
-                    (jq_vals.ravel(), (rows, cols)),
-                    shape=(cval.shape[0] * self.n_batch * self.n_quad, self.dim),
-                ).tocsr()
+                if self._jq_plan is None:
+                    self._jq_plan = self._jq_pattern()
+                Jq = self._jq_plan.matrix(jq_vals.ravel())
                 Jparts.append(Jq)
                 Cparts.append(
                     np.asarray(
@@ -495,19 +631,46 @@ class _Engine:
         return g, _ShiftedSystem(H)
 
     def _jq_pattern(self):
-        """COO pattern of the quadrature-residual Jacobian block, with row
-        order (interval, node, residual component) matching
+        """Conversion plan of the quadrature-residual Jacobian block, with
+        row order (interval, node, residual component) matching
         ``constraint_vector`` and entry order (b, q, r, k, l)."""
-        if not hasattr(self, "_jq_cached"):
-            nc = self.problem.n_c
-            B, Q, m, L = self.n_batch, self.n_quad, self.m, self.L
-            rows = np.repeat(np.arange(B * Q * nc), m * L)
-            gT = self.gidx.transpose(1, 0, 2)  # (B, m, L)
-            cols = np.broadcast_to(
-                gT[:, None, None, :, :], (B, Q, nc, m, L)
-            ).ravel()
-            self._jq_cached = (rows, cols)
-        return self._jq_cached
+        nc = self.problem.n_c
+        B, Q, m, L = self.n_batch, self.n_quad, self.m, self.L
+        rows = np.repeat(np.arange(B * Q * nc, dtype=np.int32), m * L)
+        gT = self.gidx.transpose(1, 0, 2).astype(np.int32)  # (B, m, L)
+        cols = np.broadcast_to(gT[:, None, None, :, :], (B, Q, nc, m, L)).ravel()
+        return _SparsePlan(rows, cols, (B * Q * nc, self.dim), "csr")
+
+    def _element_hessians(self, M):
+        """Per-interval blocks einsum("kbql,kjbq,jbqr->bkljr", A, M, A), bit
+        for bit, indexed (b, k, l, j, r) but possibly stored plane by plane.
+
+        When numpy contracts the three operands in one pass it sums over q
+        in ascending order the products A_k * (M_kj * A_j), so only the
+        (k, j) planes where M is nonzero need that sum; the rest hold
+        zeros.  When numpy picks a pairwise path instead, its rounding is
+        not reproduced plane by plane, and einsum itself is kept."""
+        A, m, L, B = self.A, self.m, self.L, self.n_batch
+        if self._planewise is None:
+            path = np.einsum_path("kbql,kjbq,jbqr->bkljr", A, M, A, optimize=True)[0]
+            self._planewise = path[1:] == [(0, 1, 2)]
+            # (q, k, l, b): the batch axis innermost for the plane sums
+            self._A_qklb = np.ascontiguousarray(A.transpose(2, 0, 3, 1))
+        if not self._planewise:
+            return np.einsum("kbql,kjbq,jbqr->bkljr", A, M, A, optimize=True)
+        Hloc = np.zeros((m, m, L, L, B))
+        ks, js = np.nonzero(np.any(M != 0.0, axis=(2, 3)))
+        if len(ks):
+            Aq = self._A_qklb
+            Ak = Aq[:, ks, :, None, :]
+            MA = (M[ks, js].transpose(2, 0, 1)[:, :, None, :] * Aq[:, js])[:, :, None]
+            acc = np.zeros((len(ks), L, L, B))
+            term = np.empty_like(acc)
+            for q in range(self.n_quad):
+                np.multiply(Ak[q], MA[q], out=term)
+                acc += term
+            Hloc[ks, js] = acc
+        return Hloc.transpose(4, 0, 2, 1, 3)
 
     def interior_push(self, x, threshold: float) -> np.ndarray:
         if threshold <= 0.0:
@@ -635,9 +798,6 @@ class TranscribedNLP:
 
     def from_trajectory(self, trajectory) -> np.ndarray:
         return np.array(trajectory.coeffs, dtype=float)
-
-    def initial_vector(self) -> np.ndarray:
-        return self.space.zero_coeffs()
 
 
 # -- module-level views --------------------------------------------------

@@ -6,6 +6,7 @@ across criteria.
 """
 
 import time
+import zlib
 from functools import lru_cache
 
 import numpy as np
@@ -307,7 +308,7 @@ def test_criterion_09_gradient_oracle():
             nlps.append(transcribe_collocation(
                 prob, mesh, CollocationScheme(kind, p=2),
                 PenaltyBarrierParams(1e-2, 1e-2)))
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         for nlp in nlps:
             x = 0.3 * rng.standard_normal(nlp.dimension)
             x = nlp.interior_push(x, 1.0)
