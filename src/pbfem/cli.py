@@ -116,16 +116,19 @@ def _run_one(spec, method: str, n_elements: int, p: int, solver_cfg: SolverConfi
     problem = spec.problem
     mesh = uniform_mesh(problem.t0, problem.tE, n_elements)
     space = FESpace(mesh, p, problem.n_y, problem.n_z)
-    if method == "pbf":
-        def factory(omega, tau):
-            return TranscribedNLP(problem, space,
-                                  params=PenaltyBarrierParams(omega, tau))
-    else:
-        scheme = CollocationScheme(method, p)
+    scheme = CollocationScheme(method, p) if method != "pbf" else None
+    stages = []
 
-        def factory(omega, tau):
-            return transcribe_collocation(problem, mesh, scheme,
-                                          PenaltyBarrierParams(omega, tau))
+    def factory(omega, tau):
+        # every stage shares the first stage's engine and its fixed plans
+        params = PenaltyBarrierParams(omega, tau)
+        shared = stages[0] if stages else None
+        if method == "pbf":
+            nlp = TranscribedNLP(problem, space, params=params, share_with=shared)
+        else:
+            nlp = transcribe_collocation(problem, mesh, scheme, params, share_with=shared)
+        stages.append(nlp)
+        return nlp
     strategy = "linear-boundary" if "boundary_end" in problem.metadata else "constant"
     guess = initial_guess(problem, space, strategy)
     return solve(factory, guess, solver_cfg,

@@ -360,10 +360,22 @@ def _lgr_nlp(problem, mesh, scheme, params):
 
 
 def transcribe_collocation(problem, mesh, scheme: CollocationScheme,
-                           params: PenaltyBarrierParams | None = None):
-    """Build the penalty-relaxed collocation transcription of a problem."""
+                           params: PenaltyBarrierParams | None = None,
+                           share_with=None):
+    """Build the penalty-relaxed collocation transcription of a problem.
+
+    ``share_with``, a transcription of the same problem, mesh and scheme
+    (typically an earlier continuation stage), lends the new one its
+    assembly engine and export maps, so that the fixed Newton-matrix plans
+    are made once for all stages."""
     if params is None:
         params = PenaltyBarrierParams(1e-2, 1e-2)
+    if share_with is not None:
+        s = share_with
+        if s.problem is not problem or s.mesh is not mesh or s.scheme != scheme:
+            raise InputError("an engine is shared only within one problem, mesh and scheme")
+        return _CollocationNLP(problem, mesh, scheme, params, s.engine, s._export_space,
+                               s._export_map, s._sample_plan)
     if scheme.kind == "tr":
         return _node_based_nlp(problem, mesh, scheme, params, with_midpoints=False)
     if scheme.kind == "hs":

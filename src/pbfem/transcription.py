@@ -10,14 +10,19 @@ Assembly is vectorized: every problem callable is evaluated once per merit
 nodes of all intervals, with forward-mode differentiation scalars carrying
 derivatives with respect to the local coefficient couplings.
 
-The Newton build works only on structurally nonzero entries and does its
-symbolic work once per transcription: element Hessians are summed over the
-argument planes where the curvature is nonzero, and the sparse patterns of
-the Hessian and constraint Jacobian are fixed by conversion plans made on
-the first ``newton_system`` call.  Bit-exactness is a contract: gradients
-and Newton matrices equal, bit for bit, those of the dense assembly that
-evaluates one ``np.einsum`` over all planes and converts COO triplets with
-scipy on every iteration (tests/test_newton_parity.py).
+The Newton build works only on nonzero entries and does its symbolic work
+once per transcription and Newton form.  Element Hessians are summed only
+over the argument planes where the curvature is nonzero, into a compact
+array.  A plan per Newton form -- the Gauss-Newton matrix H + mu I, or the
+saddle matrix with the constraint Jacobian -- fixes the CSC pattern handed
+to SuperLU and where each Hessian sum, Jacobian value and shift lands in
+it; the plan is made on the first ``newton_system`` call of its form and
+remade only if more entries turn nonzero.  Bit-exactness is a contract:
+gradients and Newton matrices equal, bit for bit, those of the dense
+assembly that evaluates one ``np.einsum`` over all planes, converts COO
+triplets with scipy and forms ``H + X``, ``H + shift * I`` and the block
+matrix with scipy's sparse arithmetic on every iteration
+(tests/test_newton_parity.py).
 """
 
 from __future__ import annotations
@@ -57,6 +62,10 @@ _EXTENDED_OMEGA = 1e-4
 
 _HAVE_LONGDOUBLE = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
+# element-Hessian planes summed together: a chunk's operands and
+# accumulator (about 0.2 MB each at p = 5 and 40 intervals) stay in cache
+_PLANE_CHUNK = 12
+
 
 def _work_dtype(params, extended: bool = True) -> type:
     if extended and params.omega < _EXTENDED_OMEGA and _HAVE_LONGDOUBLE:
@@ -78,124 +87,166 @@ class PenaltyBarrierParams:
             raise InputError("tau must lie in (0, omega]")
 
 
-def _dual_parts(v, m, shape, second_order=False):
-    """Value, gradient and optional Hessian arrays of a callable's output,
-    broadcast to the batch shape, tolerating constant (non-Dual) results."""
+def _dual_parts(v, m, shape):
+    """Value and gradient arrays of a callable's output, broadcast to the
+    batch shape, tolerating constant (non-Dual) results."""
     if isinstance(v, ad.Dual):
         val = np.broadcast_to(np.asarray(v.val, dtype=float), shape)
         grad = np.broadcast_to(np.asarray(v.grad, dtype=float), (m,) + shape)
-        if not second_order:
-            return val, grad, None
-        if v.hess is None:
-            hess = np.zeros((m, m) + shape)
-        else:
-            hess = np.broadcast_to(np.asarray(v.hess, dtype=float), (m, m) + shape)
-        return val, grad, hess
-    val = np.broadcast_to(np.asarray(v, dtype=float), shape)
-    grad = np.zeros((m,) + shape)
-    hess = np.zeros((m, m) + shape) if second_order else None
-    return val, grad, hess
+        return val, grad
+    return np.broadcast_to(np.asarray(v, dtype=float), shape), np.zeros((m,) + shape)
 
 
-class _SparsePlan:
-    """The symbolic half of scipy's COO -> CSR/CSC conversion for a fixed
-    entry pattern, so that each numeric fill is a gather and a sum.
+def _hessians(outs, m, shape):
+    """Hessians of the callables' outputs as one array of shape
+    ``(len(outs), m, m) + shape``, filled from their tracked supports
+    (zero elsewhere)."""
+    hess = np.zeros((len(outs), m, m) + shape)
+    for i, v in enumerate(outs):
+        if isinstance(v, ad.Dual) and v.sup and v.h is not None:
+            s = len(v.sup)
+            hess[i][np.ix_(v.sup, v.sup)] = np.broadcast_to(v.h, (s, s) + shape)
+    return hess
 
-    ``matrix(vals)`` equals ``coo_matrix((vals, (rows, cols)), shape)``
-    converted with ``.tocsr()`` (``fmt="csr"``) or ``.tocsc()`` bit for
-    bit: entries are bucketed stably by major index as ``coo_tocsr`` does,
-    scipy's own in-line index sort is run once on entry numbers to fix the
-    order in which duplicates meet, and duplicates are then summed
+
+def _conversion_order(rows, cols, shape, fmt):
+    """The symbolic half of scipy's COO -> CSR/CSC conversion of a fixed
+    entry pattern.
+
+    ``coo_matrix((vals, (rows, cols)), shape)`` converted with ``.tocsr()``
+    (``fmt="csr"``) or ``.tocsc()`` holds, bit for bit,
+    ``np.bincount(run, weights=vals[perm])`` in the slots ``(major,
+    minor)``: entries are bucketed stably by major index as ``coo_tocsr``
+    does, scipy's own in-line index sort is run once on entry numbers to
+    fix the order in which duplicates meet, and duplicates are then summed
     sequentially in that order, as ``csr_sum_duplicates`` sums them.
-    ``layout[i]``, when given, is where the i-th COO entry sits in the
-    array handed to ``matrix``.
+    Returns ``perm``, ``run``, ``major`` and ``minor``, all int32.
+    """
+    # int32 throughout and intermediates dropped early: plans are built
+    # inside a solve, where their transient memory is peak memory
+    csc = fmt == "csc"
+    major, minor = (cols, rows) if csc else (rows, cols)
+    n_major, n_minor = (shape[1], shape[0]) if csc else shape
+    indptr = np.zeros(n_major + 1, dtype=np.int32)
+    np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
+    order = np.argsort(major, kind="stable")
+    tagged = scipy.sparse.csr_matrix(
+        (order.astype(np.float64), minor[order].astype(np.int32, copy=False), indptr),
+        shape=(n_major, n_minor),
+    )
+    del order
+    tagged.sort_indices()
+    minor_s = tagged.indices
+    perm = tagged.data.astype(np.int32)
+    del tagged
+    major_s = np.repeat(np.arange(n_major, dtype=np.int32), np.diff(indptr))
+    first = np.empty(len(minor_s), dtype=bool)
+    first[:1] = True
+    np.not_equal(minor_s[1:], minor_s[:-1], out=first[1:])
+    first[1:] |= major_s[1:] != major_s[:-1]
+    run = np.cumsum(first, dtype=np.int32)
+    run -= 1
+    return perm, run, major_s[first], minor_s[first]
+
+
+class _SlotSums:
+    """The entries of a fixed COO pattern that can be nonzero, in the order
+    in which scipy's conversion sums them into its slots.
+
+    ``where(perm)`` gives each COO entry's position in a compact value
+    array, or -1 for an entry that is an exact zero: leaving it out
+    changes no bit of the sum it belongs to.  ``pos`` lists the compact
+    positions to sum, in order, and ``run`` the slot each is summed into;
+    the slots are ``(rows, cols)``.  With ``all_slots`` every slot of the
+    conversion is listed, summed into or not (it then holds 0.0), as scipy
+    stores it; otherwise only the slots that receive an entry.
     """
 
-    def __init__(self, rows, cols, shape, fmt, layout=None):
-        # int32 throughout and intermediates dropped early: the plan is
-        # built inside a solve, where its transient memory is peak memory
-        csc = fmt == "csc"
-        major, minor = (cols, rows) if csc else (rows, cols)
-        n_major, n_minor = (shape[1], shape[0]) if csc else shape
-        indptr = np.zeros(n_major + 1, dtype=np.int32)
-        np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
-        order = np.argsort(major, kind="stable")
-        tagged = scipy.sparse.csr_matrix(
-            (order.astype(np.float64), minor[order].astype(np.int32, copy=False), indptr),
-            shape=(n_major, n_minor),
-        )
-        del order
-        tagged.sort_indices()
-        minor_s = tagged.indices
-        perm = tagged.data.astype(np.intp)
-        del tagged
-        self.perm = (perm if layout is None else layout[perm]).astype(np.int32, copy=False)
-        del perm
-        major_s = np.repeat(np.arange(n_major, dtype=np.int32), np.diff(indptr))
-        first = np.empty(len(minor_s), dtype=bool)
-        first[:1] = True
-        np.not_equal(minor_s[1:], minor_s[:-1], out=first[1:])
-        first[1:] |= major_s[1:] != major_s[:-1]
-        self.run = np.cumsum(first, dtype=np.int32)
-        self.run -= 1
-        self.indices = minor_s[first]
-        self.indptr = np.zeros(n_major + 1, dtype=np.int32)
-        np.cumsum(np.bincount(major_s[first], minlength=n_major), out=self.indptr[1:])
+    def __init__(self, rows, cols, shape, fmt, where, all_slots):
+        perm, run, major, minor = _conversion_order(rows, cols, shape, fmt)
+        pos = where(perm)
+        kept = pos >= 0
+        self.pos, run = pos[kept].astype(np.int32), run[kept]
+        if not all_slots:
+            first = np.empty(len(run), dtype=bool)
+            first[:1] = True
+            np.not_equal(run[1:], run[:-1], out=first[1:])
+            major, minor = major[run[first]], minor[run[first]]
+            run = np.cumsum(first, dtype=np.int32) - 1
+        self.run = run
+        self.rows, self.cols = (minor, major) if fmt == "csc" else (major, minor)
         self.shape = shape
-        self._cls = scipy.sparse.csc_matrix if csc else scipy.sparse.csr_matrix
-
-    def matrix(self, vals):
-        data = np.bincount(self.run, weights=vals[self.perm], minlength=len(self.indices))
-        return self._cls((data, self.indices, self.indptr), shape=self.shape)
 
 
-def _diagonal_slots(A):
-    """For canonical square CSC ``A``: where each diagonal entry is stored
-    (or would be inserted), and whether it is stored."""
-    n = A.shape[0]
-    cols = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    on_diag = np.flatnonzero(A.indices == cols)
-    pos = np.empty(n, dtype=np.intp)
-    pos[cols[on_diag]] = on_diag
-    stored = np.zeros(n, dtype=bool)
-    stored[cols[on_diag]] = True
-    if not stored.all():
-        # rows are sorted within a column: insert after those above the diagonal
-        above = np.bincount(cols[A.indices < cols], minlength=n)
-        missing = ~stored
-        pos[missing] = A.indptr[:-1][missing] + above[missing]
-    return pos, stored
+def _hessian_sums(gidx, planes, dim):
+    """Slot sums of the sparse Hessian from compact element Hessians
+    indexed (plane, l, r, b) on the (k, j) planes set in ``planes``.
+
+    The COO entries are those of the per-interval dense blocks over the
+    m * L local slots, in (b, k, l, j, r) order, converted to CSC."""
+    m, B, L = gidx.shape
+    mL = m * L
+    plane = np.full((m, m), -1, dtype=np.int32)
+    ks, js = np.nonzero(planes)
+    plane[ks, js] = np.arange(len(ks))
+
+    def where(e):
+        b, kl, jr = e // (mL * mL), e // mL % mL, e % mL
+        p = plane[kl // L, jr // L]
+        return np.where(p >= 0, ((p * L + kl % L) * L + jr % L) * B + b, -1)
+
+    Gl = gidx.transpose(1, 0, 2).reshape(B, mL).astype(np.int32)
+    sums = _SlotSums(np.repeat(Gl, mL, axis=1).ravel(), np.tile(Gl, (1, mL)).ravel(),
+                     (dim, dim), "csc", where, all_slots=False)
+    sums.ks, sums.js, sums.plane = ks, js, plane
+    return sums
 
 
-def _shifted(A, slots, shift):
-    """CSC arrays of ``A + shift * I`` as scipy's sparse addition forms
-    them from canonical ``A``: the shift lands on the stored diagonal (or
-    is inserted where none is stored) and exact zeros are dropped."""
-    pos, stored = slots
-    data = A.data.copy()
-    data[pos[stored]] += shift
-    indices, indptr = A.indices, A.indptr
-    if not stored.all():
-        missing = ~stored
-        data = np.insert(data, pos[missing], shift)
-        indices = np.insert(indices, pos[missing], np.flatnonzero(missing))
-        indptr = indptr + np.concatenate(([0], np.cumsum(missing)))
-    keep = data != 0
-    if not keep.all():
-        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-        data, indices = data[keep], indices[keep]
-    return data, indices, indptr
+def _jacobian_sums(gidx, n_quad, pairs, dim):
+    """Slot sums of the quadrature-residual Jacobian block from compact
+    values indexed (pair, b, q, l) on the (r, k) pairs set in ``pairs``.
+
+    Rows are ordered (interval, node, residual component) as in
+    ``constraint_vector``; the COO entries are in (b, q, r, k, l) order,
+    converted to CSR.  Every slot is kept, zero or not."""
+    m, B, L = gidx.shape
+    nc = pairs.shape[0]
+    pair = np.full((nc, m), -1, dtype=np.int32)
+    rs, ks = np.nonzero(pairs)
+    pair[rs, ks] = np.arange(len(rs))
+
+    def where(e):
+        row, kl = e // (m * L), e % (m * L)
+        p = pair[row % nc, kl // L]
+        return np.where(p >= 0, ((p * B + row // nc // n_quad) * n_quad
+                                 + row // nc % n_quad) * L + kl % L, -1)
+
+    rows = np.repeat(np.arange(B * n_quad * nc, dtype=np.int32), m * L)
+    gT = gidx.transpose(1, 0, 2).astype(np.int32)  # (B, m, L)
+    cols = np.broadcast_to(gT[:, None, None, :, :], (B, n_quad, nc, m, L)).ravel()
+    sums = _SlotSums(rows, cols, (B * n_quad * nc, dim), "csr", where, all_slots=True)
+    sums.rs, sums.ks = rs, ks
+    return sums
 
 
-def _memory_positions(a):
-    """Where each element of a dense (possibly transposed) array sits in
-    its memory, listed in C index order: ``a.ravel(order="K")[p] ==
-    a.ravel()`` for the result ``p``."""
-    pos = np.zeros(a.shape, dtype=np.int32)
-    for axis, (n, stride) in enumerate(zip(a.shape, a.strides)):
-        step = np.arange(n, dtype=np.int32) * (stride // a.itemsize)
-        pos += step.reshape((n,) + (1,) * (a.ndim - axis - 1))
-    return pos.ravel()
+def _union_pattern(n, parts):
+    """The union of fixed slot lists ``(rows, cols)`` of an n x n matrix in
+    canonical CSC order: its ``indices`` and ``indptr``, and where each
+    list's slots sit in it."""
+    key = np.concatenate([c.astype(np.int64) * n + r for r, c in parts])
+    uniq, inv = np.unique(key, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
+    pos = np.split(inv.astype(np.int32), np.cumsum([len(r) for r, _ in parts])[:-1])
+    return (uniq % n).astype(np.int32), indptr, pos
+
+
+def _drop(data, indices, indptr, drop):
+    """CSC arrays with the slots at the sorted positions ``drop`` left out."""
+    if not len(drop):
+        return data, indices, indptr
+    return (np.delete(data, drop), np.delete(indices, drop),
+            (indptr - np.searchsorted(drop, indptr)).astype(np.int32))
 
 
 def _factor(K):
@@ -205,21 +256,161 @@ def _factor(K):
     return scipy.sparse.linalg.splu(K)
 
 
-class _ShiftedSystem:
-    """Newton model (H + mu I) d = -g solved by sparse LU."""
+class _ShiftedPlan:
+    """Fixed pattern of the Newton matrix H + JP^T JP / omega + E^T E /
+    omega + mu I, as scipy's sparse additions form it.
 
-    def __init__(self, H):
-        self.H = H.tocsc()
-        self.H.sum_duplicates()  # sparse products may leave rows unsorted
-        self._diag = _diagonal_slots(self.H)
-        self.diag_scale = float(np.max(np.abs(H.diagonal()))) if H.nnz else 1.0
+    Each slot receives its Hessian sum, then the boundary term, then the
+    linkage term, then the shift, one addition each and in that order, as
+    ``H + X`` adds entry by entry.  Slots whose value is exactly zero are
+    left out, as those additions drop them.  ``JP`` enters densely over the
+    boundary dofs: ``JP^T JP`` sums ``JP[i, a] * JP[i, b]`` over rows i in
+    ascending order, as scipy's product does, and an absent term adds a
+    zero; its slots are those that ``jp_mask``, the nonzero pattern of JP
+    over the boundary dofs, can reach.
+    """
+
+    def __init__(self, hess, dim, b_dofs, jp_mask, E):
+        diag = np.arange(dim, dtype=np.int32)
+        parts = [(hess.rows, hess.cols), (diag, diag)]
+        self.jtj = None
+        if jp_mask is not None:
+            nd = len(b_dofs)
+            reach = jp_mask.astype(np.int32)
+            self.jtj = np.flatnonzero(reach.T @ reach)
+            parts.append((b_dofs[self.jtj // nd], b_dofs[self.jtj % nd]))
+        self.EtE = None
+        if E is not None:
+            self.EtE = (E.T @ E).tocoo()
+            parts.append((self.EtE.row, self.EtE.col))
+        self.n = dim
+        self.indices, self.indptr, (pos_h, self.diag, *self.pos_extra) = \
+            _union_pattern(dim, parts)
+        # the Hessian sums go straight into their slots; the slot lists are
+        # folded into the pattern and dropped, as the plan lives all solve
+        self.run = pos_h[hess.run]
+        del hess.rows, hess.cols, hess.run
+        self.hess = hess
+
+    def system(self, Hc, jp, omega):
+        data = np.bincount(self.run, weights=Hc.ravel()[self.hess.pos],
+                           minlength=len(self.indices))
+        extra = iter(self.pos_extra)
+        if jp is not None:
+            jtj = np.zeros((jp.shape[1], jp.shape[1]))
+            for row in jp:
+                jtj += row[:, None] * row[None, :]
+            data[next(extra)] += jtj.ravel()[self.jtj] * (1 / omega)
+        if self.EtE is not None:
+            data[next(extra)] += self.EtE.data * (1 / omega)
+        # scipy's H.nnz counted every stored slot unless a sum dropped zeros
+        summed = jp is not None or self.EtE is not None
+        diag_scale = float(np.max(np.abs(data[self.diag]))) if data.any() or not summed else 1.0
+        zero = data == 0
+        zero[self.diag] = False
+        return _ShiftedSystem(self, data, np.flatnonzero(zero), diag_scale)
+
+
+class _ShiftedSystem:
+    """Newton model (H + mu I) d = -g solved by sparse LU.
+
+    Holds the Newton matrix without its shift, with the exact zeros at
+    ``drop`` left out; zeros on the diagonal are left out once the shift is
+    added."""
+
+    def __init__(self, plan, data, drop, diag_scale):
+        self.n = plan.n
+        self.data, self.indices, self.indptr = _drop(data, plan.indices, plan.indptr, drop)
+        self.diag = plan.diag - np.searchsorted(drop, plan.diag) if len(drop) else plan.diag
+        self.diag_scale = diag_scale
+
+    def matrix(self, shift):
+        """The Newton matrix handed to SuperLU at this shift."""
+        data = self.data.copy()
+        data[self.diag] += shift
+        data, indices, indptr = _drop(data, self.indices, self.indptr,
+                                      self.diag[data[self.diag] == 0])
+        return scipy.sparse.csc_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     def solve(self, g, shift):
-        K = scipy.sparse.csc_matrix(_shifted(self.H, self._diag, shift), shape=self.H.shape)
-        return _factor(K).solve(-np.asarray(g, dtype=np.float64))
+        return _factor(self.matrix(shift)).solve(-np.asarray(g, dtype=np.float64))
 
 
-class _SaddleSystem:
+class _SaddlePlan:
+    """Fixed pattern of the saddle matrix [[B + mu I, J^T], [J, -omega I]]
+    with J stacked as boundary rows JP, quadrature rows Jq and linear rows
+    E, laid out as scipy's block assembly lays it out.
+
+    Exact zeros are left out of B + mu I and of JP (scipy's product drops
+    them), while Jq and E keep every slot they store, zero or not: those
+    zeros are structural and shape SuperLU's ordering.  JP's slots are
+    those of ``jp_mask``, its nonzero pattern over the boundary dofs.
+    """
+
+    def __init__(self, hess, jq, dim, b_dofs, jp_mask, E):
+        n = dim
+        jr, jc = [], []
+        n_j = n_jp = 0
+        if jp_mask is not None:
+            k, a = np.nonzero(jp_mask)
+            jr.append(k)
+            jc.append(b_dofs[a])
+            n_j, n_jp = jp_mask.shape[0], len(k)
+        if jq is not None:
+            jr.append(n_j + jq.rows)
+            jc.append(jq.cols)
+            n_j += jq.shape[0]
+        self.E = E
+        if E is not None:
+            coo = E.tocoo()
+            jr.append(n_j + coo.row)
+            jc.append(coo.col)
+            n_j += E.shape[0]
+        jr = np.concatenate(jr or [np.zeros(0)]).astype(np.int32)
+        jc = np.concatenate(jc or [np.zeros(0)]).astype(np.int32)
+        diag = np.arange(n, dtype=np.int32)
+        tail = np.arange(n, n + n_j, dtype=np.int32)
+        self.n = n + n_j
+        self.indices, self.indptr, (pos_h, self.diag, lo, up, self.pos_omega) = \
+            _union_pattern(self.n, [(hess.rows, hess.cols), (diag, diag),
+                                    (n + jr, jc), (jc, n + jr), (tail, tail)])
+        # the Hessian entries and, twice, the Jq entries are summed straight
+        # into their slots; the slot lists are folded into the pattern and
+        # dropped, as the plan lives all solve
+        runs = [pos_h[hess.run]]
+        n_q = 0
+        if jq is not None:
+            runs += [lo[n_jp + jq.run], up[n_jp + jq.run]]
+            n_q = len(jq.rows)
+            del jq.rows, jq.cols, jq.run
+        del hess.rows, hess.cols, hess.run
+        self.run = np.concatenate(runs)
+        self.hess, self.jq, self.jp_mask, self.dim = hess, jq, jp_mask, dim
+        self.pos_jp = np.concatenate([lo[:n_jp], up[:n_jp]])
+        self.pos_e = np.concatenate([lo[n_jp + n_q:], up[n_jp + n_q:]])
+        # B's off-diagonal slots and JP's may hold a zero scipy drops
+        optional = np.zeros(len(self.indices), dtype=bool)
+        optional[pos_h] = True
+        optional[self.pos_jp] = True
+        optional[self.diag] = False
+        self.optional = np.flatnonzero(optional).astype(np.int32)
+
+    def system(self, Hc, jqv, jp, C, g_smooth, omega):
+        weights = [Hc.ravel()[self.hess.pos]]
+        if self.jq is not None:
+            weights += 2 * [jqv.ravel()[self.jq.pos]]
+        data = np.bincount(self.run, weights=np.concatenate(weights),
+                           minlength=len(self.indices))
+        if jp is not None:
+            data[self.pos_jp] = np.tile(jp[self.jp_mask], 2)
+        if self.E is not None:
+            data[self.pos_e] = np.tile(self.E.data, 2)
+        data[self.pos_omega] = -omega
+        drop = self.optional[data[self.optional] == 0]
+        return _SaddleSystem(self, data, drop, C, g_smooth)
+
+
+class _SaddleSystem(_ShiftedSystem):
     """Newton model in augmented (primal-multiplier) form.
 
     The condensed Hessian B + J^T J / omega is numerically unusable at
@@ -234,55 +425,22 @@ class _SaddleSystem:
     (B + mu I + J^T J / omega) d = -(g_smooth + J^T C / omega).
     """
 
-    def __init__(self, B, J, C, g_smooth, omega, dim):
-        self.B = B.tocsc()
-        self._diag = _diagonal_slots(self.B)
-        self._Jc = J.tocsc()  # lower-left block, rows sorted per column
-        self._Jr = self._Jc.tocsr()  # upper-right block J^T, by row of J
+    def __init__(self, plan, data, drop, C, g_smooth):
+        diag_scale = max(float(np.max(np.abs(data[plan.diag]), initial=0.0)), 1.0)
+        super().__init__(plan, data, drop, diag_scale)
         self.C = C
         self.g_smooth = g_smooth
-        self.omega = omega
-        self.dim = dim
-        self.diag_scale = max(
-            float(np.max(np.abs(B.diagonal()))) if B.nnz else 0.0, 1.0
-        )
-
-    def _matrix(self, shift):
-        """The saddle matrix in canonical CSC, laid out column by column
-        as scipy's block assembly lays it out: column c < n holds the
-        entries of B + shift I (exact zeros dropped) and then those of J;
-        column n + r holds row r of J and then -omega on the diagonal."""
-        n, Jc, Jr = self.dim, self._Jc, self._Jr
-        nr = Jc.shape[0]
-        b_data, b_indices, b_indptr = _shifted(self.B, self._diag, shift)
-        nb, nj, nt = np.diff(b_indptr), np.diff(Jc.indptr), np.diff(Jr.indptr)
-        indptr = np.zeros(n + nr + 1, dtype=np.int32)
-        np.cumsum(np.concatenate([nb + nj, nt + 1]), out=indptr[1:])
-        data = np.empty(indptr[-1])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-
-        def place(start, src_indptr, counts, vals, rows):
-            dst = np.repeat(start - src_indptr[:-1], counts) + np.arange(len(vals))
-            data[dst] = vals
-            indices[dst] = rows
-
-        place(indptr[:n], b_indptr, nb, b_data, b_indices)
-        place(indptr[:n] + nb, Jc.indptr, nj, Jc.data, Jc.indices + n)
-        place(indptr[n:-1], Jr.indptr, nt, Jr.data, Jr.indices)
-        data[indptr[n + 1:] - 1] = -self.omega
-        indices[indptr[n + 1:] - 1] = np.arange(n, n + nr)
-        return scipy.sparse.csc_matrix((data, indices, indptr), shape=(n + nr, n + nr))
+        self.dim = plan.dim
 
     def solve(self, g, shift):
-        n = self.dim
-        K = self._matrix(shift)
+        K = self.matrix(shift)
         lu = _factor(K)
         rhs = np.concatenate([-self.g_smooth, -self.C])
         z = lu.solve(rhs)
         # one pass of iterative refinement: the graded factors lose a few
         # digits that the residual correction wins back
         z = z + lu.solve(rhs - K @ z)
-        return z[:n]
+        return z[: self.dim]
 
 
 class _Engine:
@@ -331,13 +489,16 @@ class _Engine:
             self.Pb = scipy.sparse.csr_matrix(
                 (data, (rows, cols)), shape=(self.n_slots, dim)
             )
+            # the dofs the boundary slots read, and Pb densely over them
+            self._b_dofs = np.unique(self.Pb.indices).astype(np.int32)
+            self._Pb_dense = self.Pb.toarray()[:, self._b_dofs]
         else:
             self.Pb = None
 
-        # sparse conversion plans and the element-Hessian kernel choice,
-        # fixed by the pattern and made on the first newton_system call
-        self._h_plan = None
-        self._jq_plan = None
+        # Newton-matrix plans, one per Newton form (keyed by whether it is
+        # the saddle form), and the element-Hessian kernel choice; all fixed
+        # by the pattern and made on the first newton_system call
+        self._plans = {}
         self._planewise = None
         self._A_qklb = None
 
@@ -362,7 +523,7 @@ class _Engine:
 
     def _call_fc(self, x, order: int):
         """Evaluate f and c at every node; order 0 plain, 1 with first
-        derivatives, 2 with f second derivatives as well."""
+        derivatives, 2 with second derivatives as well."""
         vals = self.arg_values(x)
         if order == 0:
             args = [vals[k] for k in range(self.m)]
@@ -378,17 +539,18 @@ class _Engine:
                 [np.broadcast_to(np.asarray(ad.value(r)), shape) for r in cout]
             ) if cout else np.zeros((0,) + shape)
             return vals, fval, None, None, cval, None, None
-        fval, fgrad, fhess = _dual_parts(fout, self.m, shape, second_order=(order == 2))
+        fval, fgrad = _dual_parts(fout, self.m, shape)
         if cout:
-            parts = [_dual_parts(r, self.m, shape, second_order=(order == 2)) for r in cout]
+            parts = [_dual_parts(r, self.m, shape) for r in cout]
             cval = np.stack([p[0] for p in parts])
             cgrad = np.stack([p[1] for p in parts])
-            chess = np.stack([p[2] for p in parts]) if order == 2 else None
         else:
             cval = np.zeros((0,) + shape)
             cgrad = np.zeros((0, self.m) + shape)
-            chess = np.zeros((0, self.m, self.m) + shape) if order == 2 else None
-        return vals, fval, fgrad, fhess, cval, cgrad, chess
+        if order == 1:
+            return vals, fval, fgrad, None, cval, cgrad, None
+        hess = _hessians([fout, *cout], self.m, shape)
+        return vals, fval, fgrad, hess[0], cval, cgrad, hess[1:]
 
     def _check_finite(self, arr, what):
         if not np.all(np.isfinite(arr)):
@@ -429,7 +591,9 @@ class _Engine:
 
     # -- merit pieces ----------------------------------------------------
     def objective(self, x):
-        _, fval, *_ = self._call_fc(x, 0)
+        return self._objective(x, self._call_fc(x, 0)[1])
+
+    def _objective(self, x, fval):
         self._check_finite(fval, "objective integrand")
         w = self._cast("w", self.w, x.dtype)
         total = x.dtype.type(0.0)
@@ -438,7 +602,9 @@ class _Engine:
         return total
 
     def constraint_vector(self, x) -> np.ndarray:
-        vals, _, _, _, cval, _, _ = self._call_fc(x, 0)
+        return self._constraint_vector(x, self._call_fc(x, 0)[4])
+
+    def _constraint_vector(self, x, cval) -> np.ndarray:
         if cval.size:
             self._check_finite(cval, "DAE residual")
         bval = self._boundary(x, 0)
@@ -470,17 +636,22 @@ class _Engine:
             j, b, q = np.unravel_index(int(np.argmin(zvals)), zvals.shape)
             raise BarrierDomainError(int(j), float(self.tq[b, q]), float(zvals[j, b, q]))
         w = self._cast("w", self.w, x.dtype)
+        logs = np.log(zvals)
         total = x.dtype.type(0.0)
         for j in range(zvals.shape[0]):
             for b in range(self.n_batch):
-                total -= np.dot(w[b], np.log(zvals[j, b]))
+                total -= np.dot(w[b], logs[j, b])
         return total
 
     def merit(self, x, params: PenaltyBarrierParams):
         x = np.asarray(x, dtype=_work_dtype(params, self.extended))
         gamma = self.barrier(x)  # check positivity first: cheap rejection
-        C = self.constraint_vector(x)
-        return self.objective(x) + (C @ C) / (2.0 * params.omega) + params.tau * gamma
+        # one evaluation of f and c serves both the residuals and the
+        # objective; the residuals are checked first
+        _, fval, _, _, cval, *_ = self._call_fc(x, 0)
+        C = self._constraint_vector(x, cval)
+        F = self._objective(x, fval)
+        return F + (C @ C) / (2.0 * params.omega) + params.tau * gamma
 
     def merit_gradient(self, x, params: PenaltyBarrierParams) -> np.ndarray:
         g, _ = self._assemble(x, params, with_hessian=False)
@@ -543,8 +714,8 @@ class _Engine:
         if not with_hessian:
             return g, None
 
-        # per-interval dense blocks over the m*L local slots; the Hessian
-        # only steers Newton, so it is assembled in plain double precision
+        # the Hessian only steers Newton, so it is assembled in plain
+        # double precision
         saddle = omega < _EXTENDED_OMEGA and self.extended
         w64, A64 = self.w, self.A
         fhess64 = np.asarray(fhess, dtype=np.float64)
@@ -568,109 +739,115 @@ class _Engine:
                     w64 / omega,
                     optimize=True,
                 )
-        Hloc = self._element_hessians(M)
+        jp = None
+        if bjac is not None and bjac.size:
+            # csr_matrix(bjac) @ Pb densely over the boundary dofs: each
+            # entry sums over the slots in ascending order from zero, as
+            # scipy's product does, and an absent term adds a zero
+            bjac64 = np.asarray(bjac, dtype=np.float64)
+            jp = np.zeros((bjac64.shape[0], len(self._b_dofs)))
+            for s in range(self.n_slots):
+                jp += bjac64[:, s, None] * self._Pb_dense[s]
+        # element Hessians can be nonzero only on the planes where M is, and
+        # on the barrier's diagonal planes; the quadrature Jacobian only on
+        # the (residual, row) pairs where cgrad is
+        planes = np.any(M != 0.0, axis=(2, 3))
+        planes[range(k0, k0 + nz), range(k0, k0 + nz)] = True
+        pairs = np.any(cgrad64 != 0.0, axis=(2, 3)) if saddle and cval.size else None
+        plan = self._plan(saddle, (planes, pairs, None if jp is None else jp != 0.0))
+        hess = plan.hess
+        Hc = self._element_hessians(M, hess.ks, hess.js)
         if nz:
             zvals64 = np.asarray(vals[k0 : k0 + nz], dtype=np.float64)
             for j in range(nz):
                 k = k0 + j
-                Hloc[:, k, :, k, :] += np.einsum(
+                Hc[hess.plane[k, k]] += np.einsum(
                     "bq,bql,bqr->blr", tau * w64 / zvals64[j] ** 2, A64[k], A64[k]
+                ).transpose(1, 2, 0)
+        if not saddle:
+            return g, plan.system(Hc, jp, omega)
+
+        # constraint values in the constraint_vector row order
+        Cparts = [np.asarray(bval, dtype=np.float64)] if jp is not None else []
+        jqv = None
+        if cval.size:
+            sw64 = np.sqrt(w64)
+            rs, ks = plan.jq.rs, plan.jq.ks
+            # einsum("bq,rkbq,kbql->bqrkl", sw, cgrad, A) on the pairs only,
+            # with numpy's association of its one-pass product
+            jqv = sw64[None, :, :, None] * (cgrad64[rs, ks][..., None] * A64[ks])
+            Cparts.append(
+                np.asarray(
+                    (cval * self._cast("sqrt_w", np.sqrt(self.w), dt)[None])
+                    .transpose(1, 2, 0)
+                    .ravel(),
+                    dtype=np.float64,
                 )
-        if self._h_plan is None:
-            # COO entries in (b, k, l, j, r) order, as the per-interval
-            # dense blocks over the m * L local slots were always scattered
-            mL = self.m * self.L
-            Gl = self.gidx.transpose(1, 0, 2).reshape(self.n_batch, mL).astype(np.int32)
-            self._h_plan = _SparsePlan(
-                np.repeat(Gl, mL, axis=1).ravel(), np.tile(Gl, (1, mL)).ravel(),
-                (self.dim, self.dim), "csc", _memory_positions(Hloc),
             )
-        H = self._h_plan.matrix(Hloc.ravel(order="K"))
-        if saddle:
-            # constraint Jacobian in the constraint_vector row order
-            Jparts, Cparts = [], []
-            if bjac is not None and bjac.size:
-                Jb = scipy.sparse.csr_matrix(np.asarray(bjac, dtype=np.float64)) @ self.Pb
-                Jparts.append(Jb)
-                Cparts.append(np.asarray(bval, dtype=np.float64))
-            if cval.size:
-                sw64 = np.sqrt(w64)
-                jq_vals = np.einsum(
-                    "bq,rkbq,kbql->bqrkl", sw64, cgrad64, A64, optimize=True
-                )
-                if self._jq_plan is None:
-                    self._jq_plan = self._jq_pattern()
-                Jq = self._jq_plan.matrix(jq_vals.ravel())
-                Jparts.append(Jq)
-                Cparts.append(
-                    np.asarray(
-                        (cval * self._cast("sqrt_w", np.sqrt(self.w), dt)[None])
-                        .transpose(1, 2, 0)
-                        .ravel(),
-                        dtype=np.float64,
-                    )
-                )
-            if self.E is not None:
-                Jparts.append(self.E)
-                rE = self._cast("E", self.E, dt) @ x + self._cast("e0", self.e0, dt)
-                Cparts.append(np.asarray(rE, dtype=np.float64))
-            if Jparts:
-                J = scipy.sparse.vstack(Jparts, format="csr")
-                C = np.concatenate(Cparts)
-            else:
-                J = scipy.sparse.csr_matrix((0, self.dim))
-                C = np.zeros(0)
-            return g, _SaddleSystem(
-                H, J, C, np.asarray(g_sm, dtype=np.float64), omega, self.dim
-            )
-        if bjac is not None and bjac.size:
-            JP = scipy.sparse.csr_matrix(np.asarray(bjac, dtype=np.float64)) @ self.Pb
-            H = H + (JP.T @ JP) / omega
         if self.E is not None:
-            H = H + (self.E.T @ self.E) / omega
-        return g, _ShiftedSystem(H)
+            rE = self._cast("E", self.E, dt) @ x + self._cast("e0", self.e0, dt)
+            Cparts.append(np.asarray(rE, dtype=np.float64))
+        C = np.concatenate(Cparts) if Cparts else np.zeros(0)
+        return g, plan.system(Hc, jqv, jp, C, np.asarray(g_sm, dtype=np.float64), omega)
 
-    def _jq_pattern(self):
-        """Conversion plan of the quadrature-residual Jacobian block, with
-        row order (interval, node, residual component) matching
-        ``constraint_vector`` and entry order (b, q, r, k, l)."""
-        nc = self.problem.n_c
-        B, Q, m, L = self.n_batch, self.n_quad, self.m, self.L
-        rows = np.repeat(np.arange(B * Q * nc, dtype=np.int32), m * L)
-        gT = self.gidx.transpose(1, 0, 2).astype(np.int32)  # (B, m, L)
-        cols = np.broadcast_to(gT[:, None, None, :, :], (B, Q, nc, m, L)).ravel()
-        return _SparsePlan(rows, cols, (B * Q * nc, self.dim), "csr")
+    def _plan(self, saddle, masks):
+        """The fixed part of the Newton build of one form for the nonzero
+        element-Hessian planes, quadrature-Jacobian pairs and boundary
+        Jacobian entries in ``masks`` (None where a block is absent).  It is
+        made on first use and remade, for the union of what it covered and
+        what is now nonzero, only when a mask grows beyond it: covering more
+        than the nonzero entries changes no bit of the result."""
+        plan = self._plans.get(saddle)
+        if plan is not None:
+            if not any(m is not None and (m & ~p).any() for m, p in zip(masks, plan.masks)):
+                return plan
+            masks = tuple(None if m is None else m | p for m, p in zip(masks, plan.masks))
+        planes, pairs, jp_mask = masks
+        hess = _hessian_sums(self.gidx, planes, self.dim)
+        b_dofs = self._b_dofs if jp_mask is not None else None
+        if saddle:
+            jq = None
+            if pairs is not None:
+                jq = _jacobian_sums(self.gidx, self.n_quad, pairs, self.dim)
+            plan = _SaddlePlan(hess, jq, self.dim, b_dofs, jp_mask, self.E)
+        else:
+            plan = _ShiftedPlan(hess, self.dim, b_dofs, jp_mask, self.E)
+        plan.masks = masks
+        self._plans[saddle] = plan
+        return plan
 
-    def _element_hessians(self, M):
+    def _element_hessians(self, M, ks, js):
         """Per-interval blocks einsum("kbql,kjbq,jbqr->bkljr", A, M, A), bit
-        for bit, indexed (b, k, l, j, r) but possibly stored plane by plane.
+        for bit, on the (k, j) planes listed only, indexed (plane, l, r, b).
 
         When numpy contracts the three operands in one pass it sums over q
-        in ascending order the products A_k * (M_kj * A_j), so only the
-        (k, j) planes where M is nonzero need that sum; the rest hold
-        zeros.  When numpy picks a pairwise path instead, its rounding is
-        not reproduced plane by plane, and einsum itself is kept."""
-        A, m, L, B = self.A, self.m, self.L, self.n_batch
+        in ascending order the products A_k * (M_kj * A_j); those sums are
+        formed a chunk of planes at a time, so that a chunk's operands stay
+        in cache.  When numpy picks a pairwise path instead, its rounding
+        is not reproduced plane by plane, and the planes are gathered from
+        einsum's result."""
+        A, L, B = self.A, self.L, self.n_batch
         if self._planewise is None:
             path = np.einsum_path("kbql,kjbq,jbqr->bkljr", A, M, A, optimize=True)[0]
             self._planewise = path[1:] == [(0, 1, 2)]
             # (q, k, l, b): the batch axis innermost for the plane sums
             self._A_qklb = np.ascontiguousarray(A.transpose(2, 0, 3, 1))
         if not self._planewise:
-            return np.einsum("kbql,kjbq,jbqr->bkljr", A, M, A, optimize=True)
-        Hloc = np.zeros((m, m, L, L, B))
-        ks, js = np.nonzero(np.any(M != 0.0, axis=(2, 3)))
-        if len(ks):
-            Aq = self._A_qklb
-            Ak = Aq[:, ks, :, None, :]
-            MA = (M[ks, js].transpose(2, 0, 1)[:, :, None, :] * Aq[:, js])[:, :, None]
-            acc = np.zeros((len(ks), L, L, B))
-            term = np.empty_like(acc)
-            for q in range(self.n_quad):
-                np.multiply(Ak[q], MA[q], out=term)
-                acc += term
-            Hloc[ks, js] = acc
-        return Hloc.transpose(4, 0, 2, 1, 3)
+            H = np.einsum("kbql,kjbq,jbqr->bkljr", A, M, A, optimize=True)
+            return H.transpose(1, 3, 2, 4, 0)[ks, js]
+        Aq = self._A_qklb
+        Hc = np.empty((len(ks), L, L, B))
+        term = np.empty((_PLANE_CHUNK, L, L, B))
+        for c in range(0, len(ks), _PLANE_CHUNK):
+            k, j = ks[c : c + _PLANE_CHUNK], js[c : c + _PLANE_CHUNK]
+            Ak = Aq[:, k, :, None, :]
+            MA = (M[k, j].transpose(2, 0, 1)[:, :, None, :] * Aq[:, j])[:, :, None]
+            acc, t = Hc[c : c + len(k)], term[: len(k)]
+            np.multiply(Ak[0], MA[0], out=acc)
+            for q in range(1, self.n_quad):
+                np.multiply(Ak[q], MA[q], out=t)
+                acc += t
+        return Hc
 
     def interior_push(self, x, threshold: float) -> np.ndarray:
         if threshold <= 0.0:
@@ -713,19 +890,30 @@ class TranscribedNLP:
     the p-point budget a collocation scheme of the same degree would have,
     which is what rules out quadrature blind spots like the sawtooth
     example in the tests.
+
+    ``share_with``, an NLP of the same problem, space and rule (typically an
+    earlier continuation stage), lends this one its assembly engine, so that
+    the fixed Newton-matrix plans are made once for all stages.
     """
 
-    def __init__(self, problem, space, rule=None, params=None):
+    def __init__(self, problem, space, rule=None, params=None, share_with=None):
         if space.n_y != problem.n_y or space.n_z != problem.n_z:
             raise InputError("space component counts must match the problem")
         if rule is None:
-            rule = gauss_legendre(max(1, 2 * space.p))
+            rule = gauss_legendre(max(1, 2 * space.p)) if share_with is None else share_with.rule
         if params is None:
             params = PenaltyBarrierParams(1e-2, 1e-2)
         self.problem = problem
         self.space = space
         self.rule = rule
         self.params = params
+        self.dimension = space.dimension
+        if share_with is not None:
+            if (share_with.problem is not problem or share_with.space is not space
+                    or share_with.rule is not rule):
+                raise InputError("an engine is shared only within one problem, space and rule")
+            self.engine = share_with.engine
+            return
 
         mesh = space.mesh
         ny, nz = problem.n_y, problem.n_z
@@ -763,7 +951,6 @@ class TranscribedNLP:
             problem, A, gidx, w, tq, space.dimension,
             space.z_dof_indices, point_eval,
         )
-        self.dimension = space.dimension
 
     # methods shared with the collocation NLPs (duck-typed solver interface)
     def merit(self, x) -> float:

@@ -1,12 +1,16 @@
-"""Bit parity of the Newton build with its dense, per-iteration reference.
+"""Bit parity of the Newton build and the merit with their direct references.
 
 The engine tracks derivative supports, sums element Hessians only over
-nonzero planes and fills sparse matrices from conversion plans fixed per
-transcription.  None of that may change a single bit: the gradient and
-the matrix handed to SuperLU must equal the ones built the direct way --
-dense forward-mode derivatives (tests/dense_ad.py), one ``np.einsum`` over
-all planes, ``coo_matrix(...).tocsc()``, ``H + shift * I`` and ``bmat``.
+nonzero planes and places every value of the Newton matrix on slots fixed
+per transcription and Newton form.  None of that may change a single bit:
+the gradient and every matrix handed to SuperLU must equal the ones built
+the direct way -- dense forward-mode derivatives (tests/dense_ad.py), one
+``np.einsum`` over all planes, ``coo_matrix(...).tocsc()``, scipy's sparse
+additions, ``H + shift * I`` and ``bmat``.  The merit, evaluated in one
+pass, must equal the sum of its separately evaluated pieces.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ import dense_ad
 from pbfem import ad, transcription
 from pbfem.benchmarks import build
 from pbfem.collocation import CollocationScheme, transcribe_collocation
+from pbfem.errors import BarrierDomainError, EvaluationError
 from pbfem.mesh import FESpace, uniform_mesh
 from pbfem.solver import initial_guess
 from pbfem.transcription import PenaltyBarrierParams, TranscribedNLP
@@ -24,48 +29,85 @@ from pbfem.transcription import PenaltyBarrierParams, TranscribedNLP
 CASES = [
     # FE at Q = 10: numpy contracts the element Hessian in one pass, so the
     # plane-by-plane kernel runs; LGR at Q = 5 keeps numpy's pairwise path;
-    # Hermite-Simpson adds linear linkage rows to the Hessian
+    # Hermite-Simpson and trapezoidal (Q = 1) add linear linkage rows E
     ("vanderpol", "pbf", 4, True),
     ("pendulum-a", "pbf", 3, True),
     ("pendulum-a", "lgr", 3, False),
     ("pendulum-a", "hs", 3, None),
+    ("pendulum-a", "tr", 3, None),
 ]
 
 
-def _nlp_and_point(name, method, n, omega):
-    problem = build(name).problem
-    mesh = uniform_mesh(problem.t0, problem.tE, n)
-    space = FESpace(mesh, 5, problem.n_y, problem.n_z)
+def _make_nlp(problem, method, n, omega, share_with=None):
+    if share_with is None:
+        mesh = uniform_mesh(problem.t0, problem.tE, n)
+        space = FESpace(mesh, 5, problem.n_y, problem.n_z)
+    elif method == "pbf":
+        space = share_with.space
+    else:
+        mesh = share_with.mesh
     params = PenaltyBarrierParams(omega, omega)
     if method == "pbf":
-        nlp = TranscribedNLP(problem, space, params=params)
-    else:
-        nlp = transcribe_collocation(problem, mesh, CollocationScheme(method, 5), params)
+        return TranscribedNLP(problem, space, params=params, share_with=share_with)
+    return transcribe_collocation(problem, mesh, CollocationScheme(method, 5), params,
+                                  share_with=share_with)
+
+
+def _point(nlp, problem, n):
+    space = FESpace(uniform_mesh(problem.t0, problem.tE, n), 5, problem.n_y, problem.n_z)
     strategy = "linear-boundary" if "boundary_end" in problem.metadata else "constant"
     x = nlp.from_trajectory(initial_guess(problem, space, strategy))
     x = x + 0.1 * np.random.default_rng(3).standard_normal(x.size)
-    return nlp, nlp.interior_push(x, 0.3)
+    return nlp.interior_push(x, 0.3)
 
 
-def _reference_matrix(engine, x, params, shift):
-    """The Newton matrix assembled directly, as SuperLU receives it (splu
-    sums duplicates and sorts indices in place before factoring)."""
+def _nlp_and_point(name, method, n, omega, problem=None):
+    problem = problem or build(name).problem
+    nlp = _make_nlp(problem, method, n, omega)
+    return nlp, _point(nlp, problem, n)
+
+
+def _dense_parts(engine, x):
+    """Values and dense first and second derivatives of f and c at every
+    node, evaluated with dense Duals."""
+    m, shape = engine.m, (engine.n_batch, engine.n_quad)
+    vals = engine.arg_values(x)
+    ydot, y, z = engine._split(dense_ad.seed(vals, m, second_order=True))
+    fout = engine.problem.f(ydot, y, z, engine.tq)
+    cout = engine.problem.c(ydot, y, z, engine.tq) if engine.problem.n_c else []
+
+    def parts(v):
+        if isinstance(v, dense_ad.DenseDual):
+            return (np.broadcast_to(np.asarray(v.val, dtype=float), shape),
+                    np.broadcast_to(np.asarray(v.grad, dtype=float), (m,) + shape),
+                    np.broadcast_to(np.asarray(v.hess, dtype=float), (m, m) + shape))
+        return (np.broadcast_to(np.asarray(v, dtype=float), shape),
+                np.zeros((m,) + shape), np.zeros((m, m) + shape))
+
+    _, _, fhess = parts(fout)
+    cp = [parts(r) for r in cout]
+    cval = np.stack([p[0] for p in cp]) if cp else np.zeros((0,) + shape)
+    cgrad = np.stack([p[1] for p in cp]) if cp else np.zeros((0, m) + shape)
+    chess = np.stack([p[2] for p in cp]) if cp else np.zeros((0, m, m) + shape)
+    return vals, fhess, cval, cgrad, chess
+
+
+def _reference_matrices(engine, x, params):
+    """The Newton matrix as a function of the shift, assembled directly as
+    SuperLU receives it (splu sums duplicates and sorts indices in place
+    before factoring)."""
     omega, tau = params.omega, params.tau
     x = np.asarray(x, dtype=transcription._work_dtype(params, engine.extended))
-    vals, _, _, fhess, cval, cgrad, chess = engine._call_fc(x, 2)
+    vals, fhess, cval, cgrad, chess = _dense_parts(engine, x)
     saddle = omega < transcription._EXTENDED_OMEGA and engine.extended
     w, A = engine.w, engine.A
     m, B, Q, L, dim = engine.m, engine.n_batch, engine.n_quad, engine.L, engine.dim
-    M = w[None, None] * np.asarray(fhess, dtype=np.float64)
-    cgrad64 = np.asarray(cgrad, dtype=np.float64)
+    M = w[None, None] * fhess
     if cval.size:
         if not saddle:
-            M = M + np.einsum("rkbq,rjbq,bq->kjbq", cgrad64, cgrad64, w / omega,
-                              optimize=True)
+            M = M + np.einsum("rkbq,rjbq,bq->kjbq", cgrad, cgrad, w / omega, optimize=True)
         if saddle or omega <= transcription._CURVATURE_OMEGA:
-            M = M + np.einsum("rbq,rkjbq,bq->kjbq", np.asarray(cval, dtype=np.float64),
-                              np.asarray(chess, dtype=np.float64), w / omega,
-                              optimize=True)
+            M = M + np.einsum("rbq,rkjbq,bq->kjbq", cval, chess, w / omega, optimize=True)
     Hloc = np.einsum("kbql,kjbq,jbqr->bkljr", A, M, A, optimize=True)
     nz, k0 = engine.problem.n_z, 2 * engine.problem.n_y
     for j in range(nz):
@@ -86,7 +128,7 @@ def _reference_matrix(engine, x, params, shift):
         parts = [JP] if JP is not None else []
         if cval.size:
             nc = cval.shape[0]
-            jq_vals = np.einsum("bq,rkbq,kbql->bqrkl", np.sqrt(w), cgrad64, A,
+            jq_vals = np.einsum("bq,rkbq,kbql->bqrkl", np.sqrt(w), cgrad, A,
                                 optimize=True)
             rows = np.repeat(np.arange(B * Q * nc), m * L)
             gT = engine.gidx.transpose(1, 0, 2)
@@ -96,19 +138,69 @@ def _reference_matrix(engine, x, params, shift):
         if engine.E is not None:
             parts.append(engine.E)
         J = scipy.sparse.vstack(parts, format="csr")
-        K = scipy.sparse.bmat(
-            [[H + shift * scipy.sparse.identity(dim, format="csc"), J.T],
-             [J, -omega * scipy.sparse.identity(J.shape[0], format="csc")]],
-            format="csc",
-        )
+
+        def matrix(shift):
+            return scipy.sparse.bmat(
+                [[H + shift * scipy.sparse.identity(dim, format="csc"), J.T],
+                 [J, -omega * scipy.sparse.identity(J.shape[0], format="csc")]],
+                format="csc",
+            )
     else:
         if JP is not None:
             H = H + (JP.T @ JP) / omega
         if engine.E is not None:
             H = H + (engine.E.T @ engine.E) / omega
-        K = (H.tocsc() + shift * scipy.sparse.identity(dim, format="csc")).tocsc()
-    K.sum_duplicates()
-    return K
+
+        def matrix(shift):
+            return (H.tocsc() + shift * scipy.sparse.identity(dim, format="csc")).tocsc()
+
+    def canonical(shift):
+        K = matrix(shift)
+        K.sum_duplicates()
+        return K
+
+    return canonical
+
+
+def _handed_matrices(monkeypatch, nlp, x, shifts):
+    """g and the matrices handed to SuperLU along a shift ladder, all from
+    one Newton-system object."""
+    handed = []
+    splu = scipy.sparse.linalg.splu
+
+    def spy(K, *args, **kwargs):
+        handed.append(K.copy())
+        return splu(K, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    g, system = nlp.newton_system(x)
+    for shift in shifts:
+        try:
+            system.solve(g, shift)
+        except RuntimeError:  # exactly singular: the matrix was still handed
+            pass
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    assert len(handed) == len(shifts)
+    return g, handed
+
+
+def _assert_reference(monkeypatch, nlp, x, g, handed, shifts):
+    # the reference runs the same problem callables on dense Duals
+    monkeypatch.setattr(ad, "Dual", dense_ad.DenseDual)
+    monkeypatch.setattr(ad, "seed", dense_ad.seed)
+    g_ref = nlp.merit_gradient(x)
+    reference = _reference_matrices(nlp.engine, x, nlp.params)
+    assert g.dtype == g_ref.dtype and np.array_equal(g, g_ref)
+    for K, shift in zip(handed, shifts):
+        K_ref = reference(shift)
+        assert np.array_equal(K.indptr, K_ref.indptr)
+        assert np.array_equal(K.indices, K_ref.indices)
+        assert np.array_equal(K.data, K_ref.data)
+
+
+def _ladder(shift):
+    # the shift escalation visits several shifts on one system object
+    return (0.0, shift, 4.0 * shift)
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e-6])
@@ -116,30 +208,122 @@ def _reference_matrix(engine, x, params, shift):
 @pytest.mark.parametrize("name,method,n,planewise", CASES)
 def test_newton_build_is_bit_exact(monkeypatch, name, method, n, planewise, omega, shift):
     nlp, x = _nlp_and_point(name, method, n, omega)
-    handed = []
-    splu = scipy.sparse.linalg.splu
-
-    def spy(K, *args, **kwargs):
-        lu = splu(K, *args, **kwargs)
-        handed.append(K)
-        return lu
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-    g, system = nlp.newton_system(x)
-    system.solve(g, shift)
-    (K,) = handed
+    g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(shift))
     if planewise is not None:
         assert nlp.engine._planewise is planewise
+    _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(shift))
 
-    # the reference runs the same problem callables on dense Duals
-    monkeypatch.setattr(ad, "Dual", dense_ad.DenseDual)
-    monkeypatch.setattr(ad, "seed", dense_ad.seed)
-    g_ref = nlp.merit_gradient(x)
-    K_ref = _reference_matrix(nlp.engine, x, nlp.params, shift)
-    assert g.dtype == g_ref.dtype and np.array_equal(g, g_ref)
-    assert np.array_equal(K.indptr, K_ref.indptr)
-    assert np.array_equal(K.indices, K_ref.indices)
-    assert np.array_equal(K.data, K_ref.data)
+
+@pytest.mark.parametrize("omega", [1e-3, 1e-6])
+@pytest.mark.parametrize("drop", ["n_b", "n_c"])
+def test_newton_build_without_boundary_or_residual_rows(monkeypatch, drop, omega):
+    # no point constraints (no JP rows) or no DAE residuals (no Jq rows),
+    # in the Gauss-Newton and the saddle form
+    problem = build("vanderpol").problem
+    if drop == "n_b":
+        problem = dataclasses.replace(problem, n_b=0, point_times=())
+    else:
+        problem = dataclasses.replace(problem, n_c=0, c=lambda *args: [])
+    nlp, x = _nlp_and_point(None, "pbf", 4, omega, problem=problem)
+    g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
+    _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
+
+
+@pytest.mark.parametrize("name,method,n", [("pendulum-a", "pbf", 3), ("pendulum-a", "lgr", 3)])
+def test_shared_engine_matches_fresh_engines(monkeypatch, name, method, n):
+    # continuation stages reuse the first stage's engine and its plans
+    problem = build(name).problem
+    first = _make_nlp(problem, method, n, 1e-3)
+    x = _point(first, problem, n)
+    for omega in (1e-3, 1e-4, 1e-5, 1e-6):
+        nlp = _make_nlp(problem, method, n, omega, share_with=first)
+        assert nlp.engine is first.engine and nlp.params.omega == omega
+        g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
+        fresh = _make_nlp(problem, method, n, omega)
+        g_fresh, handed_fresh = _handed_matrices(monkeypatch, fresh, x, _ladder(1e-6))
+        assert np.array_equal(g, g_fresh) and g.dtype == g_fresh.dtype
+        for K, K_fresh in zip(handed, handed_fresh):
+            assert np.array_equal(K.indptr, K_fresh.indptr)
+            assert np.array_equal(K.indices, K_fresh.indices)
+            assert np.array_equal(K.data, K_fresh.data)
+    # one plan per Newton form: Gauss-Newton, and saddle for FE only
+    assert len(first.engine._plans) == (2 if method == "pbf" else 1)
+
+
+def test_plan_grows_with_the_nonzero_planes(monkeypatch):
+    # a curvature term that is zero at the first Newton system and nonzero
+    # at the next: the plan made for the first must be remade to cover it
+    problem = build("vanderpol").problem
+    f, scale = problem.f, [0.0]
+    problem = dataclasses.replace(
+        problem, f=lambda ydot, y, z, t: f(ydot, y, z, t) + scale[0] * (ydot[0] * y[0]))
+    nlp, x = _nlp_and_point(None, "pbf", 4, 1e-3, problem=problem)
+    nlp.newton_system(x)
+    planes = nlp.engine._plans[False].masks[0].copy()
+    scale[0] = 1.0
+    g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
+    assert (nlp.engine._plans[False].masks[0] & ~planes).any()
+    _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
+
+
+def _reference_merit(engine, x, params):
+    """The merit from its pieces, each evaluating the problem on its own,
+    with the barrier's logarithms taken row by row."""
+    x = np.asarray(x, dtype=transcription._work_dtype(params, engine.extended))
+    zvals = engine.z_quad_values(x)
+    if np.min(zvals) <= 0.0:
+        raise BarrierDomainError(0, 0.0, float(np.min(zvals)))
+    w = engine._cast("w", engine.w, x.dtype)
+    gamma = x.dtype.type(0.0)
+    for j in range(zvals.shape[0]):
+        for b in range(engine.n_batch):
+            gamma -= np.dot(w[b], np.log(zvals[j, b]))
+    C = engine.constraint_vector(x)
+    return engine.objective(x) + (C @ C) / (2.0 * params.omega) + params.tau * gamma
+
+
+@pytest.mark.parametrize("omega", [1e-3, 1e-6])
+@pytest.mark.parametrize("name,method,n", [("pendulum-a", "pbf", 3), ("vanderpol", "pbf", 4),
+                                           ("pendulum-a", "lgr", 3)])
+def test_merit_matches_two_pass_reference(name, method, n, omega):
+    # FE below omega = 1e-4 evaluates the merit in extended precision
+    nlp, x = _nlp_and_point(name, method, n, omega)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        y = x + 1e-3 * rng.standard_normal(x.size)
+        phi, ref = nlp.merit(y), _reference_merit(nlp.engine, y, nlp.params)
+        assert phi.dtype == ref.dtype and phi == ref
+    if method == "pbf" and omega < 1e-4 and transcription._HAVE_LONGDOUBLE:
+        assert phi.dtype == np.longdouble
+
+
+@pytest.mark.parametrize("bad", ["f", "c", "both", "z_and_both"])
+def test_merit_raises_in_the_reference_order(bad):
+    # barrier domain first, then the DAE residual, then the objective
+    problem = build("pendulum-a").problem
+    f, c = problem.f, problem.c
+    poison_f = bad in ("f", "both", "z_and_both")
+    poison_c = bad in ("c", "both", "z_and_both")
+    problem = dataclasses.replace(
+        problem,
+        f=lambda *a: f(*a) * np.nan if poison_f else f(*a),
+        c=lambda *a: [r * np.nan for r in c(*a)] if poison_c else c(*a),
+    )
+    nlp, x = _nlp_and_point(None, "pbf", 3, 1e-6, problem=problem)
+    if bad == "z_and_both":
+        x = np.array(x)
+        x[nlp.engine.z_dof_indices] = -1.0
+    errors = []
+    for merit in (nlp.merit, lambda y: _reference_merit(nlp.engine, y, nlp.params)):
+        with pytest.raises((BarrierDomainError, EvaluationError)) as info:
+            merit(x)
+        errors.append(info.value)
+    expected = {"f": "objective integrand", "c": "DAE residual", "both": "DAE residual"}
+    if bad == "z_and_both":
+        assert all(isinstance(e, BarrierDomainError) for e in errors)
+    else:
+        assert all(isinstance(e, EvaluationError) and expected[bad] in str(e)
+                   for e in errors)
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e-6, -2.0])
@@ -150,10 +334,15 @@ def test_diagonal_shift_matches_sparse_addition(shift):
         (np.array([2.0, 1.0, 1.0, 0.0]), np.array([0, 2, 0, 2]), np.array([0, 2, 2, 4])),
         shape=(3, 3),
     )
-    data, indices, indptr = transcription._shifted(
-        H, transcription._diagonal_slots(H), shift)
+    coo = H.tocoo()
+    # H's slots, each summing one entry of the value array handed in
+    slots = transcription._SlotSums.__new__(transcription._SlotSums)
+    slots.rows, slots.cols = coo.row.astype(np.int32), coo.col.astype(np.int32)
+    slots.pos = slots.run = np.arange(coo.nnz)
+    plan = transcription._ShiftedPlan(slots, 3, None, None, None)
+    K = plan.system(coo.data, None, 1.0).matrix(shift)
     ref = (H + shift * scipy.sparse.identity(3, format="csc")).tocsc()
     ref.sum_duplicates()
-    assert np.array_equal(indptr, ref.indptr)
-    assert np.array_equal(indices, ref.indices)
-    assert np.array_equal(data, ref.data)
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert np.array_equal(K.data, ref.data)
