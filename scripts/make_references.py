@@ -15,7 +15,6 @@ from pathlib import Path
 
 from pbfem import (
     FESpace,
-    PenaltyBarrierParams,
     SolverConfig,
     TranscribedNLP,
     best_approximation,
@@ -36,10 +35,6 @@ SEQUENCES = {"pendulum-c": (40,)}
 def _solve_on(problem, n_elements, p, config, init):
     mesh = uniform_mesh(problem.t0, problem.tE, n_elements)
     space = FESpace(mesh, p, problem.n_y, problem.n_z)
-
-    def factory(omega, tau):
-        return TranscribedNLP(problem, space, params=PenaltyBarrierParams(omega, tau))
-
     if init is None:
         strategy = "linear-boundary" if "boundary_end" in problem.metadata else "constant"
         init = initial_guess(problem, space, strategy)
@@ -48,7 +43,7 @@ def _solve_on(problem, n_elements, p, config, init):
         init = best_approximation(
             space, [lambda t, j=j: init.component(j, t)
                     for j in range(problem.n_y + problem.n_z)])
-    return solve(factory, init, config)
+    return solve(TranscribedNLP(problem, space), init, config)
 
 
 def make_reference(name: str, n_elements: int, p: int, target: float,

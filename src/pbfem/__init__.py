@@ -40,16 +40,7 @@ from .problem import (
 )
 from .quadrature import QuadratureRule, gauss_legendre, integrate_on_mesh
 from .solver import SolveReport, SolverConfig, initial_guess, solve
-from .transcription import (
-    PenaltyBarrierParams,
-    TranscribedNLP,
-    assemble_barrier,
-    assemble_constraint_vector,
-    assemble_objective,
-    interior_push,
-    merit,
-    merit_gradient,
-)
+from .transcription import PenaltyBarrierParams, TranscribedNLP
 
 __version__ = "0.1.0"
 
@@ -83,9 +74,6 @@ __all__ = [
     "SolverConfig",
     "TranscribedNLP",
     "Trajectory",
-    "assemble_barrier",
-    "assemble_constraint_vector",
-    "assemble_objective",
     "best_approximation",
     "convert_bolza",
     "evaluate",
@@ -94,9 +82,6 @@ __all__ = [
     "gauss_legendre",
     "initial_guess",
     "integrate_on_mesh",
-    "interior_push",
-    "merit",
-    "merit_gradient",
     "norm_equivalence_bound_check",
     "solve",
     "uniform_mesh",

@@ -24,7 +24,7 @@ from .collocation import CollocationScheme, detect_ringing, transcribe_collocati
 from .errors import BarrierDomainError, EvaluationError, InputError
 from .mesh import FESpace, uniform_mesh
 from .solver import SolverConfig, initial_guess, solve
-from .transcription import PenaltyBarrierParams, TranscribedNLP
+from .transcription import TranscribedNLP
 
 __all__ = ["RunConfig", "main", "cmd_solve", "cmd_study", "cmd_compare"]
 
@@ -116,22 +116,13 @@ def _run_one(spec, method: str, n_elements: int, p: int, solver_cfg: SolverConfi
     problem = spec.problem
     mesh = uniform_mesh(problem.t0, problem.tE, n_elements)
     space = FESpace(mesh, p, problem.n_y, problem.n_z)
-    scheme = CollocationScheme(method, p) if method != "pbf" else None
-    stages = []
-
-    def factory(omega, tau):
-        # every stage shares the first stage's engine and its fixed plans
-        params = PenaltyBarrierParams(omega, tau)
-        shared = stages[0] if stages else None
-        if method == "pbf":
-            nlp = TranscribedNLP(problem, space, params=params, share_with=shared)
-        else:
-            nlp = transcribe_collocation(problem, mesh, scheme, params, share_with=shared)
-        stages.append(nlp)
-        return nlp
+    if method == "pbf":
+        nlp = TranscribedNLP(problem, space)
+    else:
+        nlp = transcribe_collocation(problem, mesh, CollocationScheme(method, p))
     strategy = "linear-boundary" if "boundary_end" in problem.metadata else "constant"
     guess = initial_guess(problem, space, strategy)
-    return solve(factory, guess, solver_cfg,
+    return solve(nlp, guess, solver_cfg,
                  reference_objective=spec.reference_objective)
 
 

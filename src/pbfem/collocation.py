@@ -1,10 +1,10 @@
 """Collocation baseline transcriptions: trapezoidal, Hermite-Simpson, and
 Legendre-Gauss-Radau (Radau IIA).
 
-All three produce objects with the same interface as the finite-element
-transcription and are minimized by the same continuation solver as a
-quadratic-penalty relaxation of the collocation equations, so differences
-in outcomes are attributable to the transcription, not the optimizer.
+All three produce the same NLP class as the finite-element transcription
+and are minimized by the same continuation solver as a quadratic-penalty
+relaxation of the collocation equations, so differences in outcomes are
+attributable to the transcription, not the optimizer.
 DAE residuals are enforced at the scheme's collocation nodes only, and the
 nonnegativity of algebraic variables is kept by the same node-wise
 log-barrier.
@@ -19,9 +19,9 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InputError
-from .mesh import FESpace, Trajectory
+from .mesh import FESpace
 from .polynomials import basis_deriv_matrix, basis_matrix, legendre_eval
-from .transcription import PenaltyBarrierParams, _Engine
+from .transcription import PenaltyBarrierParams, TranscribedNLP, _Engine
 
 __all__ = [
     "CollocationScheme",
@@ -75,57 +75,7 @@ def radau_right(n: int):
     return np.array(nodes), np.array(weights)
 
 
-class _CollocationNLP:
-    """Shared shell: an assembly engine plus import/export to the
-    finite-element trajectory representation."""
-
-    def __init__(self, problem, mesh, scheme, params, engine, export_space,
-                 export_map, sample_plan):
-        self.problem = problem
-        self.mesh = mesh
-        self.scheme = scheme
-        self.params = params
-        self.engine = engine
-        self.dimension = engine.dim
-        self._export_space = export_space
-        self._export_map = export_map  # x -> FE coefficient vector
-        self._sample_plan = sample_plan  # trajectory -> x
-
-    def merit(self, x):
-        return self.engine.merit(x, self.params)
-
-    def merit_gradient(self, x):
-        return self.engine.merit_gradient(x, self.params)
-
-    def newton_system(self, x):
-        return self.engine.newton_system(x, self.params)
-
-    def objective(self, x):
-        return self.engine.objective(x)
-
-    def constraint_vector(self, x):
-        return self.engine.constraint_vector(x)
-
-    def barrier(self, x):
-        return self.engine.barrier(x)
-
-    def z_quad_values(self, x):
-        return self.engine.z_quad_values(x)
-
-    def interior_push(self, x, threshold):
-        return self.engine.interior_push(x, threshold)
-
-    def interior_margin(self, x, threshold):
-        return self.engine.interior_margin(x, threshold)
-
-    def to_trajectory(self, x) -> Trajectory:
-        return Trajectory(self._export_space, self._export_map(np.asarray(x, dtype=float)))
-
-    def from_trajectory(self, trajectory) -> np.ndarray:
-        return self._sample_plan(trajectory)
-
-
-def _node_based_nlp(problem, mesh, scheme, params, with_midpoints):
+def _node_based_nlp(problem, mesh, params, with_midpoints):
     """TR (endpoints) and HS (endpoints plus midpoints): one state, one
     slope, and one algebraic variable set per node, DAE residuals at the
     nodes, and linear linkage rows tying slopes to state increments."""
@@ -263,8 +213,7 @@ def _node_based_nlp(problem, mesh, scheme, params, with_midpoints):
             x[[z_var(i, j) for i in range(S)]] = trajectory.component(ny + j, t)
         return x
 
-    return _CollocationNLP(problem, mesh, scheme, params, engine, space,
-                           export_map, sample_plan)
+    return TranscribedNLP._of_engine(problem, engine, params, space, export_map, sample_plan)
 
 
 def _lgr_nlp(problem, mesh, scheme, params):
@@ -355,31 +304,16 @@ def _lgr_nlp(problem, mesh, scheme, params):
                 x[[z_dof(j, b, q) for q in range(p)]] = trajectory.component(ny + j, tz)
         return x
 
-    return _CollocationNLP(problem, mesh, scheme, params, engine, space,
-                           export_map, sample_plan)
+    return TranscribedNLP._of_engine(problem, engine, params, space, export_map, sample_plan)
 
 
 def transcribe_collocation(problem, mesh, scheme: CollocationScheme,
-                           params: PenaltyBarrierParams | None = None,
-                           share_with=None):
-    """Build the penalty-relaxed collocation transcription of a problem.
-
-    ``share_with``, a transcription of the same problem, mesh and scheme
-    (typically an earlier continuation stage), lends the new one its
-    assembly engine and export maps, so that the fixed Newton-matrix plans
-    are made once for all stages."""
-    if params is None:
-        params = PenaltyBarrierParams(1e-2, 1e-2)
-    if share_with is not None:
-        s = share_with
-        if s.problem is not problem or s.mesh is not mesh or s.scheme != scheme:
-            raise InputError("an engine is shared only within one problem, mesh and scheme")
-        return _CollocationNLP(problem, mesh, scheme, params, s.engine, s._export_space,
-                               s._export_map, s._sample_plan)
+                           params: PenaltyBarrierParams | None = None) -> TranscribedNLP:
+    """Build the penalty-relaxed collocation transcription of a problem."""
     if scheme.kind == "tr":
-        return _node_based_nlp(problem, mesh, scheme, params, with_midpoints=False)
+        return _node_based_nlp(problem, mesh, params, with_midpoints=False)
     if scheme.kind == "hs":
-        return _node_based_nlp(problem, mesh, scheme, params, with_midpoints=True)
+        return _node_based_nlp(problem, mesh, params, with_midpoints=True)
     return _lgr_nlp(problem, mesh, scheme, params)
 
 

@@ -14,12 +14,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import BarrierDomainError, InputError
 from .mesh import Trajectory
 from .problem import feasibility_residual_exact
+from .transcription import PenaltyBarrierParams
 
 __all__ = ["SolverConfig", "SolveReport", "solve", "initial_guess"]
 
@@ -260,27 +259,27 @@ def _run_stage(nlp, x, config, stage_label):
     return x, phi, status, trace
 
 
-def solve(nlp_factory, initial, config: SolverConfig | None = None,
+def solve(nlp, initial, config: SolverConfig | None = None,
           reference_objective: float | None = None) -> SolveReport:
-    """Minimize the merit along the (omega, tau) continuation path.
+    """Minimize the merit of the transcription ``nlp`` along the (omega,
+    tau) continuation path.
 
-    ``nlp_factory(omega, tau)`` returns the transcription at those
-    parameters; ``initial`` is a Trajectory or a coefficient vector.  The
-    report carries an independently computed feasibility residual, not the
-    assembled one, so quadrature blind spots cannot hide infeasibility.
+    At the start of each stage ``nlp.params`` is set to that stage's
+    weights; the transcription itself, and so every Newton-matrix plan,
+    stays the same for the whole solve, and ``nlp.params`` holds the last
+    stage's weights afterwards.  ``initial`` is a Trajectory or a
+    coefficient vector.  The report carries an independently computed
+    feasibility residual, not the assembled one, so quadrature blind spots
+    cannot hide infeasibility.
     """
     config = config or SolverConfig()
     t_start = time.perf_counter()
-    stages = _stage_schedule(config)
-    nlp = None
-    x = None
+    x = initial if isinstance(initial, np.ndarray) else nlp.from_trajectory(initial)
+    x = np.array(x, dtype=float)
     report_stages = []
     status = "converged"
-    for omega, tau in stages:
-        nlp = nlp_factory(omega, tau)
-        if x is None:
-            x = initial if isinstance(initial, np.ndarray) else nlp.from_trajectory(initial)
-            x = np.array(x, dtype=float)
+    for omega, tau in _stage_schedule(config):
+        nlp.params = PenaltyBarrierParams(omega, tau)
         x = _make_interior(nlp, x, tau, omega)
         label = f"{omega:.1e}"
         x, phi, status, trace = _run_stage(nlp, x, config, label)

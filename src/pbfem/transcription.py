@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from . import ad
 from .errors import BarrierDomainError, EvaluationError, InputError
@@ -38,16 +39,7 @@ from .mesh import Trajectory
 from .polynomials import basis_deriv_matrix, basis_matrix
 from .quadrature import gauss_legendre
 
-__all__ = [
-    "PenaltyBarrierParams",
-    "TranscribedNLP",
-    "assemble_objective",
-    "assemble_constraint_vector",
-    "assemble_barrier",
-    "merit",
-    "merit_gradient",
-    "interior_push",
-]
+__all__ = ["PenaltyBarrierParams", "TranscribedNLP"]
 
 
 # below this omega, iterates are near feasible and the Hessian switches
@@ -107,6 +99,17 @@ def _hessians(outs, m, shape):
             s = len(v.sup)
             hess[i][np.ix_(v.sup, v.sup)] = np.broadcast_to(v.h, (s, s) + shape)
     return hess
+
+
+def _row_dots(w, v):
+    """``np.dot(w[b], v[..., b, :])`` for every (leading index, b) row, in
+    that order, as one ``matmul``.
+
+    A row times a column takes numpy's dot kernel, so each value equals
+    ``np.dot``'s bit for bit.  ``np.dot`` hands BLAS a contiguous copy of a
+    broadcast row, so ``v`` is made contiguous first.  Callers add the
+    values one by one: ``np.sum`` would add them pairwise."""
+    return np.matmul(w[:, None, :], np.ascontiguousarray(v)[..., None]).ravel()
 
 
 def _conversion_order(rows, cols, shape, fmt):
@@ -595,10 +598,9 @@ class _Engine:
 
     def _objective(self, x, fval):
         self._check_finite(fval, "objective integrand")
-        w = self._cast("w", self.w, x.dtype)
         total = x.dtype.type(0.0)
-        for b in range(self.n_batch):
-            total += np.dot(w[b], fval[b])
+        for r in _row_dots(self._cast("w", self.w, x.dtype), fval):
+            total += r
         return total
 
     def constraint_vector(self, x) -> np.ndarray:
@@ -635,12 +637,9 @@ class _Engine:
         if zvals.size and np.min(zvals) <= 0.0:
             j, b, q = np.unravel_index(int(np.argmin(zvals)), zvals.shape)
             raise BarrierDomainError(int(j), float(self.tq[b, q]), float(zvals[j, b, q]))
-        w = self._cast("w", self.w, x.dtype)
-        logs = np.log(zvals)
         total = x.dtype.type(0.0)
-        for j in range(zvals.shape[0]):
-            for b in range(self.n_batch):
-                total -= np.dot(w[b], logs[j, b])
+        for r in _row_dots(self._cast("w", self.w, x.dtype), np.log(zvals)):
+            total -= r
         return total
 
     def merit(self, x, params: PenaltyBarrierParams):
@@ -882,39 +881,29 @@ class _Engine:
 
 
 class TranscribedNLP:
-    """The finite-element penalty-barrier transcription of a problem.
+    """A problem transcribed into one penalty-barrier NLP.
 
-    Degrees of freedom are exactly the trajectory coefficients of
-    ``space``; continuity of the differential components is structural.
-    The default quadrature uses 2p points per interval, two points beyond
-    the p-point budget a collocation scheme of the same degree would have,
-    which is what rules out quadrature blind spots like the sawtooth
-    example in the tests.
+    The transcription -- the discretization, its quadrature and with them
+    every sparsity pattern and Newton-matrix plan -- is fixed for the
+    object's lifetime.  Only ``params``, the weights (omega, tau), change:
+    the continuation solver sets them at each stage.
 
-    ``share_with``, an NLP of the same problem, space and rule (typically an
-    earlier continuation stage), lends this one its assembly engine, so that
-    the fixed Newton-matrix plans are made once for all stages.
+    Constructed directly, it is the finite-element transcription: degrees
+    of freedom are exactly the trajectory coefficients of ``space``, and
+    continuity of the differential components is structural.  The default
+    quadrature uses 2p points per interval, two points beyond the p-point
+    budget a collocation scheme of the same degree would have, which is
+    what rules out quadrature blind spots like the sawtooth example in the
+    tests.  ``transcribe_collocation`` returns the collocation baselines as
+    this class too; their variables map to and from coefficients of
+    ``space``.
     """
 
-    def __init__(self, problem, space, rule=None, params=None, share_with=None):
+    def __init__(self, problem, space, rule=None, params=None):
         if space.n_y != problem.n_y or space.n_z != problem.n_z:
             raise InputError("space component counts must match the problem")
         if rule is None:
-            rule = gauss_legendre(max(1, 2 * space.p)) if share_with is None else share_with.rule
-        if params is None:
-            params = PenaltyBarrierParams(1e-2, 1e-2)
-        self.problem = problem
-        self.space = space
-        self.rule = rule
-        self.params = params
-        self.dimension = space.dimension
-        if share_with is not None:
-            if (share_with.problem is not problem or share_with.space is not space
-                    or share_with.rule is not rule):
-                raise InputError("an engine is shared only within one problem, space and rule")
-            self.engine = share_with.engine
-            return
-
+            rule = gauss_legendre(max(1, 2 * space.p))
         mesh = space.mesh
         ny, nz = problem.n_y, problem.n_z
         nb_int = mesh.n_intervals
@@ -947,12 +936,31 @@ class TranscribedNLP:
             for tk in problem.point_times
         ] if problem.n_b else []
 
-        self.engine = _Engine(
+        engine = _Engine(
             problem, A, gidx, w, tq, space.dimension,
             space.z_dof_indices, point_eval,
         )
+        self._bind(problem, engine, params, space,
+                   lambda x: x, lambda trajectory: trajectory.coeffs)
 
-    # methods shared with the collocation NLPs (duck-typed solver interface)
+    @classmethod
+    def _of_engine(cls, problem, engine, params, space, export_map, sample_plan):
+        """The NLP of an engine assembled elsewhere: ``export_map`` takes
+        its variables to coefficients of ``space``, ``sample_plan`` takes a
+        trajectory to its variables."""
+        nlp = cls.__new__(cls)
+        nlp._bind(problem, engine, params, space, export_map, sample_plan)
+        return nlp
+
+    def _bind(self, problem, engine, params, space, export_map, sample_plan):
+        self.problem = problem
+        self.engine = engine
+        self.params = params if params is not None else PenaltyBarrierParams(1e-2, 1e-2)
+        self.space = space
+        self.dimension = engine.dim
+        self._export_map = export_map
+        self._sample_plan = sample_plan
+
     def merit(self, x) -> float:
         return self.engine.merit(x, self.params)
 
@@ -963,54 +971,30 @@ class TranscribedNLP:
         return self.engine.newton_system(x, self.params)
 
     def objective(self, x) -> float:
+        """F_h: quadrature value of the objective integral."""
         return self.engine.objective(x)
 
     def constraint_vector(self, x) -> np.ndarray:
+        """C_h: point constraints, then per-node weighted DAE residuals
+        (and any linear rows of the transcription)."""
         return self.engine.constraint_vector(x)
 
     def barrier(self, x) -> float:
+        """Gamma_h: quadrature approximation of -sum_j int log z_j."""
         return self.engine.barrier(x)
 
     def z_quad_values(self, x) -> np.ndarray:
         return self.engine.z_quad_values(x)
 
     def interior_push(self, x, threshold: float) -> np.ndarray:
+        """Clip every algebraic variable up to at least ``threshold``."""
         return self.engine.interior_push(x, threshold)
 
     def interior_margin(self, x, threshold: float) -> np.ndarray:
         return self.engine.interior_margin(x, threshold)
 
     def to_trajectory(self, x) -> Trajectory:
-        return Trajectory(self.space, np.array(x, dtype=float))
+        return Trajectory(self.space, self._export_map(np.array(x, dtype=float)))
 
     def from_trajectory(self, trajectory) -> np.ndarray:
-        return np.array(trajectory.coeffs, dtype=float)
-
-
-# -- module-level views --------------------------------------------------
-def assemble_objective(nlp, coeffs) -> float:
-    """F_h: quadrature value of the objective integral."""
-    return nlp.objective(np.asarray(coeffs, dtype=float))
-
-
-def assemble_constraint_vector(nlp, coeffs) -> np.ndarray:
-    """C_h: point constraints, then per-node weighted DAE residuals."""
-    return nlp.constraint_vector(np.asarray(coeffs, dtype=float))
-
-
-def assemble_barrier(nlp, coeffs) -> float:
-    """Gamma_h: quadrature approximation of -sum_j int log z_j."""
-    return nlp.barrier(np.asarray(coeffs, dtype=float))
-
-
-def merit(nlp, coeffs) -> float:
-    return float(nlp.merit(np.asarray(coeffs, dtype=float)))
-
-
-def merit_gradient(nlp, coeffs) -> np.ndarray:
-    return np.asarray(nlp.merit_gradient(np.asarray(coeffs, dtype=float)), dtype=float)
-
-
-def interior_push(nlp, coeffs, threshold: float) -> np.ndarray:
-    """Clip every algebraic coefficient up to at least ``threshold``."""
-    return nlp.interior_push(np.asarray(coeffs, dtype=float), threshold)
+        return np.array(self._sample_plan(trajectory), dtype=float)

@@ -27,8 +27,6 @@ from pbfem import (
     feasibility_residual_exact,
     gauss_legendre,
     initial_guess,
-    merit,
-    merit_gradient,
     nested_step,
     norm_equivalence_bound_check,
     solve,
@@ -56,14 +54,11 @@ def pbf_solve(name, n, p=5, target=1e-10, max_iters=200):
     spec = build(name)
     prob = spec.problem
     space = FESpace(uniform_mesh(prob.t0, prob.tE, n), p, prob.n_y, prob.n_z)
-
-    def factory(omega, tau):
-        return TranscribedNLP(prob, space, params=PenaltyBarrierParams(omega, tau))
-
     hints = dict(prob.metadata.get("solver_hints", ()))
     cfg = SolverConfig(omega_target=target, tau_target=target,
                        max_iters=max_iters, **hints)
-    return solve(factory, initial_guess(prob, space, _guess_strategy(prob)), cfg)
+    return solve(TranscribedNLP(prob, space),
+                 initial_guess(prob, space, _guess_strategy(prob)), cfg)
 
 
 @lru_cache(maxsize=None)
@@ -78,10 +73,6 @@ def pbf_sequenced(name, counts, target=1e-12):
     rep = None
     for i, n in enumerate(counts):
         space = FESpace(uniform_mesh(prob.t0, prob.tE, n), 5, prob.n_y, prob.n_z)
-
-        def factory(omega, tau, space=space):
-            return TranscribedNLP(prob, space, params=PenaltyBarrierParams(omega, tau))
-
         if rep is None:
             init = initial_guess(prob, space, _guess_strategy(prob))
             cfg = SolverConfig(omega_target=target, tau_target=target)
@@ -92,7 +83,7 @@ def pbf_sequenced(name, counts, target=1e-12):
                         for j in range(prob.n_y + prob.n_z)])
             cfg = SolverConfig(omega_target=target, tau_target=target,
                                continuation_start=1e-4, max_iters=600)
-        rep = solve(factory, init, cfg)
+        rep = solve(TranscribedNLP(prob, space), init, cfg)
     return rep
 
 
@@ -115,13 +106,10 @@ def pbf_junction_aligned(name, n, target=1e-10):
     k = min(max(int(np.argmin(np.abs(nodes - t_s))), 1), n - 1)
     nodes[k] = t_s
     space = FESpace(Mesh(nodes), 5, prob.n_y, prob.n_z)
-
-    def factory(omega, tau):
-        return TranscribedNLP(prob, space, params=PenaltyBarrierParams(omega, tau))
-
     hints = dict(prob.metadata.get("solver_hints", ()))
     cfg = SolverConfig(omega_target=target, tau_target=target, **hints)
-    return solve(factory, initial_guess(prob, space, _guess_strategy(prob)), cfg)
+    return solve(TranscribedNLP(prob, space),
+                 initial_guess(prob, space, _guess_strategy(prob)), cfg)
 
 
 @lru_cache(maxsize=None)
@@ -129,15 +117,10 @@ def collocation_solve(name, kind, n, p=5, target=1e-6, max_iters=1200):
     spec = build(name)
     prob = spec.problem
     mesh = uniform_mesh(prob.t0, prob.tE, n)
-    scheme = CollocationScheme(kind, p=p)
-
-    def factory(omega, tau):
-        return transcribe_collocation(prob, mesh, scheme,
-                                      PenaltyBarrierParams(omega, tau))
-
+    nlp = transcribe_collocation(prob, mesh, CollocationScheme(kind, p=p))
     space = FESpace(mesh, p, prob.n_y, prob.n_z)
     cfg = SolverConfig(omega_target=target, tau_target=target, max_iters=max_iters)
-    return solve(factory, initial_guess(prob, space, _guess_strategy(prob)), cfg)
+    return solve(nlp, initial_guess(prob, space, _guess_strategy(prob)), cfg)
 
 
 def reference_control_error(name, rep, interval):
@@ -312,12 +295,12 @@ def test_criterion_09_gradient_oracle():
         for nlp in nlps:
             x = 0.3 * rng.standard_normal(nlp.dimension)
             x = nlp.interior_push(x, 1.0)
-            g = np.asarray(merit_gradient(nlp, x), dtype=float)
+            g = np.asarray(nlp.merit_gradient(x), dtype=float)
             gfd = np.zeros_like(g)
             for i in range(len(x)):
                 e = np.zeros_like(x)
                 e[i] = 1e-6 * (1.0 + abs(x[i]))
-                gfd[i] = (merit(nlp, x + e) - merit(nlp, x - e)) / (2.0 * e[i])
+                gfd[i] = (nlp.merit(x + e) - nlp.merit(x - e)) / (2.0 * e[i])
             rel = float(np.max(np.abs(g - gfd))) / (1.0 + float(np.max(np.abs(g))))
             worst = max(worst, rel)
     check(9, worst <= 1e-6,

@@ -5,7 +5,6 @@ from pbfem import (
     CollocationScheme,
     DynamicProblem,
     InputError,
-    PenaltyBarrierParams,
     SolverConfig,
     detect_ringing,
     initial_guess,
@@ -30,12 +29,8 @@ def decay_problem():
 def solve_decay(scheme, n_elements):
     prob = decay_problem()
     mesh = uniform_mesh(0.0, 1.0, n_elements)
-
-    def factory(omega, tau):
-        return transcribe_collocation(prob, mesh, scheme,
-                                      PenaltyBarrierParams(omega, tau))
-
-    rep = solve(factory, np.zeros(factory(1e-2, 1e-2).dimension), SolverConfig())
+    nlp = transcribe_collocation(prob, mesh, scheme)
+    rep = solve(nlp, np.zeros(nlp.dimension), SolverConfig())
     assert rep.success
     return float(rep.trajectory.component(0, [1.0])[0])
 

@@ -38,19 +38,13 @@ CASES = [
 ]
 
 
-def _make_nlp(problem, method, n, omega, share_with=None):
-    if share_with is None:
-        mesh = uniform_mesh(problem.t0, problem.tE, n)
-        space = FESpace(mesh, 5, problem.n_y, problem.n_z)
-    elif method == "pbf":
-        space = share_with.space
-    else:
-        mesh = share_with.mesh
+def _make_nlp(problem, method, n, omega):
+    mesh = uniform_mesh(problem.t0, problem.tE, n)
     params = PenaltyBarrierParams(omega, omega)
     if method == "pbf":
-        return TranscribedNLP(problem, space, params=params, share_with=share_with)
-    return transcribe_collocation(problem, mesh, CollocationScheme(method, 5), params,
-                                  share_with=share_with)
+        return TranscribedNLP(problem, FESpace(mesh, 5, problem.n_y, problem.n_z),
+                              params=params)
+    return transcribe_collocation(problem, mesh, CollocationScheme(method, 5), params)
 
 
 def _point(nlp, problem, n):
@@ -231,23 +225,27 @@ def test_newton_build_without_boundary_or_residual_rows(monkeypatch, drop, omega
 
 @pytest.mark.parametrize("name,method,n", [("pendulum-a", "pbf", 3), ("pendulum-a", "lgr", 3)])
 def test_shared_engine_matches_fresh_engines(monkeypatch, name, method, n):
-    # continuation stages reuse the first stage's engine and its plans
+    # one transcription whose weights move through the continuation, as the
+    # solver moves them: its engine and plans serve every stage
     problem = build(name).problem
-    first = _make_nlp(problem, method, n, 1e-3)
-    x = _point(first, problem, n)
+    nlp = _make_nlp(problem, method, n, 1e-3)
+    engine = nlp.engine
+    x = _point(nlp, problem, n)
     for omega in (1e-3, 1e-4, 1e-5, 1e-6):
-        nlp = _make_nlp(problem, method, n, omega, share_with=first)
-        assert nlp.engine is first.engine and nlp.params.omega == omega
+        nlp.params = PenaltyBarrierParams(omega, omega)
         g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
         fresh = _make_nlp(problem, method, n, omega)
         g_fresh, handed_fresh = _handed_matrices(monkeypatch, fresh, x, _ladder(1e-6))
         assert np.array_equal(g, g_fresh) and g.dtype == g_fresh.dtype
+        phi, phi_fresh = nlp.merit(x), fresh.merit(x)
+        assert phi == phi_fresh and phi.dtype == phi_fresh.dtype
         for K, K_fresh in zip(handed, handed_fresh):
             assert np.array_equal(K.indptr, K_fresh.indptr)
             assert np.array_equal(K.indices, K_fresh.indices)
             assert np.array_equal(K.data, K_fresh.data)
     # one plan per Newton form: Gauss-Newton, and saddle for FE only
-    assert len(first.engine._plans) == (2 if method == "pbf" else 1)
+    assert nlp.engine is engine
+    assert len(engine._plans) == (2 if method == "pbf" else 1)
 
 
 def test_plan_grows_with_the_nonzero_planes(monkeypatch):
@@ -266,20 +264,36 @@ def test_plan_grows_with_the_nonzero_planes(monkeypatch):
     _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
 
 
-def _reference_merit(engine, x, params):
-    """The merit from its pieces, each evaluating the problem on its own,
-    with the barrier's logarithms taken row by row."""
-    x = np.asarray(x, dtype=transcription._work_dtype(params, engine.extended))
+def _row_by_row(engine, x):
+    """The objective and the barrier as the direct loops form them: one
+    ``np.dot`` per (component, interval) row, added in that order."""
     zvals = engine.z_quad_values(x)
-    if np.min(zvals) <= 0.0:
+    if zvals.size and np.min(zvals) <= 0.0:
         raise BarrierDomainError(0, 0.0, float(np.min(zvals)))
     w = engine._cast("w", engine.w, x.dtype)
     gamma = x.dtype.type(0.0)
     for j in range(zvals.shape[0]):
         for b in range(engine.n_batch):
             gamma -= np.dot(w[b], np.log(zvals[j, b]))
+    fval = engine._call_fc(x, 0)[1]
+
+    def objective():
+        engine._check_finite(fval, "objective integrand")
+        F = x.dtype.type(0.0)
+        for b in range(engine.n_batch):
+            F += np.dot(w[b], fval[b])
+        return F
+
+    return objective, gamma
+
+
+def _reference_merit(engine, x, params):
+    """The merit from its pieces, each evaluating the problem on its own,
+    with the objective and the barrier summed row by row."""
+    x = np.asarray(x, dtype=transcription._work_dtype(params, engine.extended))
+    objective, gamma = _row_by_row(engine, x)
     C = engine.constraint_vector(x)
-    return engine.objective(x) + (C @ C) / (2.0 * params.omega) + params.tau * gamma
+    return objective() + (C @ C) / (2.0 * params.omega) + params.tau * gamma
 
 
 @pytest.mark.parametrize("omega", [1e-3, 1e-6])
@@ -295,6 +309,40 @@ def test_merit_matches_two_pass_reference(name, method, n, omega):
         assert phi.dtype == ref.dtype and phi == ref
     if method == "pbf" and omega < 1e-4 and transcription._HAVE_LONGDOUBLE:
         assert phi.dtype == np.longdouble
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("name,method,n", [("pendulum-a", "pbf", 12), ("vanderpol", "pbf", 12),
+                                           ("pendulum-a", "lgr", 12), ("constant-f", "pbf", 12)])
+def test_objective_and_barrier_sum_row_by_row(name, method, n, dtype):
+    # one matmul for all rows, its values added in row order; at 12
+    # intervals a pairwise sum of the rows would round differently.  A
+    # constant integrand reaches the sum as a broadcast (stride 0) array.
+    problem = None
+    if name == "constant-f":
+        problem = dataclasses.replace(build("pendulum-a").problem, f=lambda *args: 0.7)
+    nlp, x = _nlp_and_point(name, method, n, 1e-3, problem=problem)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        y = np.asarray(x + 1e-3 * rng.standard_normal(x.size), dtype=dtype)
+        objective, gamma = _row_by_row(nlp.engine, y)
+        F, F_ref = nlp.objective(y), objective()
+        assert F.dtype == F_ref.dtype and F == F_ref
+        G = nlp.barrier(y)
+        assert G.dtype == gamma.dtype and G == gamma
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("layout", ["contiguous", "scalar", "per-row"])
+def test_row_dots_equal_np_dot(dtype, layout):
+    # each row's value is np.dot's, also where the rows are broadcast views
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.01, 1.0, (40, 10)).astype(dtype)
+    base = {"contiguous": (3, 40, 10), "scalar": (), "per-row": (3, 40, 1)}[layout]
+    v = np.broadcast_to(rng.standard_normal(base).astype(dtype), (3, 40, 10))
+    ref = [np.dot(w[b], v[j, b]) for j in range(3) for b in range(40)]
+    rows = transcription._row_dots(w, v)
+    assert rows.dtype == dtype and np.array_equal(rows, ref)
 
 
 @pytest.mark.parametrize("bad", ["f", "c", "both", "z_and_both"])

@@ -13,6 +13,7 @@ from pbfem import (
     uniform_mesh,
 )
 from pbfem.benchmarks import build
+from pbfem.solver import _stage_schedule
 
 
 def trivial_problem():
@@ -22,13 +23,6 @@ def trivial_problem():
         c=lambda yd, y, z, t: [yd[0] - z[0]],
         b=lambda y0: [y0[0]],
     )
-
-
-def make_factory(prob, space):
-    def factory(omega, tau):
-        return TranscribedNLP(prob, space, params=PenaltyBarrierParams(omega, tau))
-
-    return factory
 
 
 class TestConfig:
@@ -53,7 +47,7 @@ class TestTrivialProblem:
     def test_optimum_reached(self):
         prob = trivial_problem()
         space = FESpace(uniform_mesh(0.0, 1.0, 4), 2, 1, 1)
-        rep = solve(make_factory(prob, space), initial_guess(prob, space))
+        rep = solve(TranscribedNLP(prob, space), initial_guess(prob, space))
         assert rep.success
         assert rep.F_h <= 1e-6
         assert rep.r_feas <= 1e-8
@@ -65,15 +59,14 @@ class TestTrivialProblem:
     def test_strict_interiorness(self):
         prob = trivial_problem()
         space = FESpace(uniform_mesh(0.0, 1.0, 3), 2, 1, 1)
-        factory = make_factory(prob, space)
-        rep = solve(factory, initial_guess(prob, space))
-        nlp = factory(1e-10, 1e-10)
+        nlp = TranscribedNLP(prob, space)
+        rep = solve(nlp, initial_guess(prob, space))
         assert float(np.min(nlp.z_quad_values(rep.trajectory.coeffs))) > 0.0
 
     def test_report_fields(self):
         prob = trivial_problem()
         space = FESpace(uniform_mesh(0.0, 1.0, 2), 1, 1, 1)
-        rep = solve(make_factory(prob, space), initial_guess(prob, space),
+        rep = solve(TranscribedNLP(prob, space), initial_guess(prob, space),
                     reference_objective=0.0)
         assert rep.g_opt is not None and rep.g_opt >= 0.0
         assert rep.iterations == sum(s["iters"] for s in rep.stages)
@@ -83,7 +76,7 @@ class TestTrivialProblem:
     def test_max_iters_reports_not_raises(self):
         prob = trivial_problem()
         space = FESpace(uniform_mesh(0.0, 1.0, 2), 1, 1, 1)
-        rep = solve(make_factory(prob, space), initial_guess(prob, space),
+        rep = solve(TranscribedNLP(prob, space), initial_guess(prob, space),
                     SolverConfig(max_iters=1))
         assert rep.status in ("max_iters", "stalled", "converged")
         assert rep.trajectory is not None
@@ -124,7 +117,7 @@ class TestContinuation:
     def test_stage_schedule_reaches_targets(self):
         prob = trivial_problem()
         space = FESpace(uniform_mesh(0.0, 1.0, 2), 1, 1, 1)
-        rep = solve(make_factory(prob, space), initial_guess(prob, space),
+        rep = solve(TranscribedNLP(prob, space), initial_guess(prob, space),
                     SolverConfig(omega_target=1e-6, tau_target=1e-6))
         omegas = [s["omega"] for s in rep.stages]
         assert omegas[0] == pytest.approx(1e-2)
@@ -134,10 +127,34 @@ class TestContinuation:
     def test_warm_start_not_worse_than_cold(self):
         prob = trivial_problem()
         space = FESpace(uniform_mesh(0.0, 1.0, 3), 2, 1, 1)
-        factory = make_factory(prob, space)
-        warm = solve(factory, initial_guess(prob, space),
+        nlp = TranscribedNLP(prob, space)
+        warm = solve(nlp, initial_guess(prob, space),
                      SolverConfig(omega_target=1e-8, tau_target=1e-8))
-        cold = solve(factory, initial_guess(prob, space),
+        cold = solve(nlp, initial_guess(prob, space),
                      SolverConfig(omega_target=1e-8, tau_target=1e-8,
                                   continuation_start=1e-8))
         assert warm.r_feas <= 10.0 * max(cold.r_feas, 1e-16)
+
+    def test_stages_set_params_on_one_nlp(self):
+        # merit and newton_system replaced on the instance, as a tracer
+        # wraps them, see every stage's weights on the one transcription
+        prob = trivial_problem()
+        space = FESpace(uniform_mesh(0.0, 1.0, 3), 2, 1, 1)
+        nlp = TranscribedNLP(prob, space)
+        seen = []
+
+        def spy(method):
+            def call(x):
+                seen.append((nlp.params.omega, nlp.params.tau))
+                return method(x)
+            return call
+
+        nlp.merit, nlp.newton_system = spy(nlp.merit), spy(nlp.newton_system)
+        config = SolverConfig(omega_target=1e-6, tau_target=1e-7)
+        rep = solve(nlp, initial_guess(prob, space), config)
+        schedule = _stage_schedule(config)
+        assert len(schedule) == 5
+        stages = [p for i, p in enumerate(seen) if i == 0 or p != seen[i - 1]]
+        assert stages == schedule
+        assert [(s["omega"], s["tau"]) for s in rep.stages] == schedule
+        assert nlp.params == PenaltyBarrierParams(*schedule[-1])

@@ -8,13 +8,7 @@ from pbfem import (
     InputError,
     PenaltyBarrierParams,
     TranscribedNLP,
-    assemble_barrier,
-    assemble_constraint_vector,
-    assemble_objective,
     gauss_legendre,
-    interior_push,
-    merit,
-    merit_gradient,
     uniform_mesh,
 )
 from pbfem import ad
@@ -71,7 +65,7 @@ class TestAssembly:
         space = FESpace(uniform_mesh(0.0, 1.0, 3), 3, 1, 1)
         nlp = TranscribedNLP(prob, space)
         traj = space.interpolate([lambda t: 2.0 * t, lambda t: np.full_like(t, 2.0)])
-        C = assemble_constraint_vector(nlp, traj.coeffs)
+        C = nlp.constraint_vector(traj.coeffs)
         assert np.linalg.norm(C) <= 1e-10
 
     def test_merit_identity(self):
@@ -80,10 +74,10 @@ class TestAssembly:
         params = PenaltyBarrierParams(1e-2, 1e-3)
         nlp = TranscribedNLP(prob, space, params=params)
         x = interior_coeffs(nlp, space)
-        F = assemble_objective(nlp, x)
-        C = assemble_constraint_vector(nlp, x)
-        G = assemble_barrier(nlp, x)
-        phi = merit(nlp, x)
+        F = nlp.objective(x)
+        C = nlp.constraint_vector(x)
+        G = nlp.barrier(x)
+        phi = nlp.merit(x)
         assert np.isclose(phi, F + (C @ C) / (2 * params.omega) + params.tau * G,
                           rtol=1e-14)
 
@@ -94,8 +88,8 @@ class TestAssembly:
         vals = []
         for eps in (1e-4, 1e-6, 1e-8):
             nlp = TranscribedNLP(prob, space, params=PenaltyBarrierParams(eps, eps))
-            vals.append(merit(nlp, traj.coeffs))
-        F = assemble_objective(nlp, traj.coeffs)
+            vals.append(nlp.merit(traj.coeffs))
+        F = nlp.objective(traj.coeffs)
         assert abs(vals[-1] - F) < 1e-6
         assert abs(vals[-1] - F) < abs(vals[0] - F)
 
@@ -108,7 +102,7 @@ class TestAssembly:
         space = FESpace(uniform_mesh(0.0, 1.0, 2), 2, 0, 1)
         nlp = TranscribedNLP(prob, space)
         traj = space.interpolate([lambda t: t + 1.0])
-        gamma = assemble_barrier(nlp, traj.coeffs)
+        gamma = nlp.barrier(traj.coeffs)
         assert abs(gamma - (-(2.0 * np.log(2.0) - 1.0))) < 1e-8
 
     def test_objective_quadrature_exact(self):
@@ -123,7 +117,7 @@ class TestAssembly:
         space = FESpace(uniform_mesh(0.0, 1.0, 3), p, 1, 0)
         nlp = TranscribedNLP(prob, space)
         traj = space.interpolate([lambda t: t])
-        F = assemble_objective(nlp, traj.coeffs)
+        F = nlp.objective(traj.coeffs)
         assert abs(F - 1.0 / (4 * p)) < 1e-13
 
     def test_barrier_domain_error(self):
@@ -150,8 +144,8 @@ class TestGradients:
         params = PenaltyBarrierParams(0.1, 0.01)
         nlp = TranscribedNLP(prob, space, params=params)
         x = interior_coeffs(nlp, space, seed=3)
-        g = merit_gradient(nlp, x)
-        gfd = fd_gradient(lambda v: merit(nlp, v), x, h=1e-7)
+        g = nlp.merit_gradient(x)
+        gfd = fd_gradient(nlp.merit, x, h=1e-7)
         assert np.max(np.abs(g - gfd)) <= 1e-6 * (1.0 + np.max(np.abs(g)))
 
     @pytest.mark.parametrize("name", ["vanderpol", "regulator", "alychan",
@@ -161,8 +155,8 @@ class TestGradients:
         space = FESpace(uniform_mesh(prob.t0, prob.tE, 5), 2, prob.n_y, prob.n_z)
         nlp = TranscribedNLP(prob, space, params=PenaltyBarrierParams(1e-2, 1e-2))
         x = interior_coeffs(nlp, space, seed=11)
-        g = merit_gradient(nlp, x)
-        gfd = fd_gradient(lambda v: merit(nlp, v), x)
+        g = nlp.merit_gradient(x)
+        gfd = fd_gradient(nlp.merit, x)
         assert np.max(np.abs(g - gfd)) <= 1e-6 * (1.0 + np.max(np.abs(g)))
 
     def test_newton_system_descent(self):
@@ -186,11 +180,11 @@ class TestInteriorOps:
         x = np.zeros(space.dimension)
         for j, v in enumerate((-1.0, 0.5, 2.0)):
             x[space.z_dofs[j, 0]] = v
-        out = interior_push(nlp, x, 1.0)
+        out = nlp.interior_push(x, 1.0)
         assert np.allclose(np.sort(np.unique(out)), [1.0, 2.0])
-        assert np.array_equal(interior_push(nlp, out, 0.5), out)
+        assert np.array_equal(nlp.interior_push(out, 0.5), out)
         with pytest.raises(InputError):
-            interior_push(nlp, x, 0.0)
+            nlp.interior_push(x, 0.0)
 
     def test_margin_is_minimal(self):
         prob = simple_problem()
@@ -212,14 +206,12 @@ class TestMonotonicityHook:
         prob = build("vanderpol").problem
         space = FESpace(uniform_mesh(prob.t0, prob.tE, 20), 3, prob.n_y, prob.n_z)
 
-        def factory(omega, tau):
-            return TranscribedNLP(prob, space, params=PenaltyBarrierParams(omega, tau))
-
+        nlp = TranscribedNLP(prob, space)
         guess = initial_guess(prob, space)
         rs = []
         omegas = [1e-2, 1e-4, 1e-6, 1e-8]
         for omega in omegas:
-            rep = solve(factory, guess, SolverConfig(omega_target=omega, tau_target=omega))
+            rep = solve(nlp, guess, SolverConfig(omega_target=omega, tau_target=omega))
             assert rep.success
             rs.append(rep.r_feas)
         assert all(rs[i + 1] <= rs[i] * (1.0 + 1e-9) for i in range(len(rs) - 1))
