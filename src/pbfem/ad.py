@@ -34,19 +34,26 @@ def _outer(a, b):
 
 @lru_cache(maxsize=4096)
 def _union(sa, sb):
-    """Sorted union of two supports and the positions of each in it."""
+    """Sorted union of two supports and, for each, the index tuples that
+    place its gradient and its Hessian in it."""
     sup = tuple(sorted(set(sa) | set(sb)))
     pos = {s: i for i, s in enumerate(sup)}
-    return sup, np.array([pos[s] for s in sa]), np.array([pos[s] for s in sb])
+
+    def places(s):
+        idx = np.array([pos[i] for i in s])
+        idx.flags.writeable = False  # shared by every caller of the cache
+        return (idx,), np.ix_(idx, idx)
+
+    return sup, places(sa), places(sb)
 
 
-def _pad(x, idx, n, order):
+def _pad(x, places, n, order):
     """Zero-pad ``x`` (``order`` leading support axes) to ``n`` support
-    entries placed at ``idx``."""
-    if x is None or len(idx) == n:
+    entries placed by ``places[order - 1]``."""
+    if x is None or x.shape[0] == n:
         return x
     out = np.zeros((n,) * order + x.shape[order:], dtype=x.dtype)
-    out[np.ix_(*(idx,) * order)] = x
+    out[places[order - 1]] = x
     return out
 
 
@@ -54,10 +61,10 @@ def _aligned(a, b):
     """Common support of two Duals and their derivatives padded to it."""
     if a.sup == b.sup:
         return a.sup, a.g, b.g, a.h, b.h
-    sup, ia, ib = _union(a.sup, b.sup)
+    sup, pa, pb = _union(a.sup, b.sup)
     n = len(sup)
-    return (sup, _pad(a.g, ia, n, 1), _pad(b.g, ib, n, 1),
-            _pad(a.h, ia, n, 2), _pad(b.h, ib, n, 2))
+    return (sup, _pad(a.g, pa, n, 1), _pad(b.g, pb, n, 1),
+            _pad(a.h, pa, n, 2), _pad(b.h, pb, n, 2))
 
 
 class Dual:
@@ -187,13 +194,21 @@ def seed(values, m: int, offset: int = 0, second_order: bool = False):
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.floating):
         values = values.astype(float)
-    tail = values.shape[1:]
-    out = []
-    for i in range(values.shape[0]):
-        g = np.ones((1,) + tail, dtype=values.dtype)
-        h = np.zeros((1, 1) + tail, dtype=values.dtype) if second_order else None
-        out.append(Dual._new(values[i], (offset + i,), g, h, m))
-    return out
+    g, h = _seed_derivatives(values.shape[1:], values.dtype, second_order)
+    return [Dual._new(values[i], (offset + i,), g, h, m) for i in range(values.shape[0])]
+
+
+@lru_cache(maxsize=64)
+def _seed_derivatives(tail, dtype, second_order):
+    """The gradient (ones) and Hessian (zeros) of a seeded component, made
+    read-only and shared by every seed of that shape: Dual arithmetic
+    never writes into its operands."""
+    g = np.ones((1,) + tail, dtype=dtype)
+    h = np.zeros((1, 1) + tail, dtype=dtype) if second_order else None
+    for a in (g, h):
+        if a is not None:
+            a.flags.writeable = False
+    return g, h
 
 
 def value(x):

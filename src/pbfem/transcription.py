@@ -11,12 +11,17 @@ nodes of all intervals, with forward-mode differentiation scalars carrying
 derivatives with respect to the local coefficient couplings.
 
 The Newton build works only on nonzero entries and does its symbolic work
-once per transcription and Newton form.  Element Hessians are summed only
-over the argument planes where the curvature is nonzero, into a compact
-array.  A plan per Newton form -- the Gauss-Newton matrix H + mu I, or the
-saddle matrix with the constraint Jacobian -- fixes the CSC pattern handed
-to SuperLU and where each Hessian sum, Jacobian value and shift lands in
-it; the plan is made on the first ``newton_system`` call of its form and
+once per transcription and Newton form.  Element Hessians are formed only
+on the argument planes where the tracked derivative supports make the
+curvature nonzero, into a compact array, by a kernel that repeats numpy's
+contraction path on those planes; every ``einsum`` runs on a path fixed
+per transcription.  Within the planes, the structural zeros get no slot:
+the entries where the basis product ``A[k, b, q, l] * A[j, b, q, r]``
+(see ``_Engine``) vanishes at every node q, as it does for most pairs of
+the unit-vector LGR basis of the algebraic rows.  A plan per Newton form
+-- the Gauss-Newton matrix H + mu I, or the saddle matrix with the
+constraint Jacobian -- fixes the CSC pattern handed to SuperLU and where
+each Hessian sum, Jacobian value and shift lands in it; the plan is made on the first ``newton_system`` call of its form and
 remade only if more entries turn nonzero.  Bit-exactness is a contract:
 gradients and Newton matrices equal, bit for bit, those of the dense
 assembly that evaluates one ``np.einsum`` over all planes, converts COO
@@ -53,6 +58,9 @@ _CURVATURE_OMEGA = 1e-5
 _EXTENDED_OMEGA = 1e-4
 
 _HAVE_LONGDOUBLE = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+# the element Hessians: sum over q of A_k * M_kj * A_j per interval
+_ELEMENT_HESSIANS = "kbql,kjbq,jbqr->bkljr"
 
 # element-Hessian planes summed together: a chunk's operands and
 # accumulator (about 0.2 MB each at p = 5 and 40 intervals) stay in cache
@@ -181,12 +189,26 @@ class _SlotSums:
         self.shape = shape
 
 
-def _hessian_sums(gidx, planes, dim):
-    """Slot sums of the sparse Hessian from compact element Hessians
-    indexed (plane, l, r, b) on the (k, j) planes set in ``planes``.
+def _reach(A):
+    """The entries (b, k, l, j, r) of the element Hessians that are not
+    structural zeros, as a flat mask in that order: those where
+    ``A[k, b, q, l] * A[j, b, q, r]`` is nonzero for some q."""
+    m, B, Q, L = A.shape
+    nz = A != 0.0
+    left = nz.transpose(1, 0, 3, 2).reshape(B, m * L, Q)
+    right = nz.transpose(1, 2, 0, 3).reshape(B, Q, m * L)
+    return np.matmul(left, right).ravel()
+
+
+def _hessian_sums(gidx, planes, reach, dim, batch_major):
+    """Slot sums of the sparse Hessian from compact element Hessians on the
+    (k, j) planes set in ``planes``, indexed (plane, b, l, r) when
+    ``batch_major`` and (plane, l, r, b) otherwise.
 
     The COO entries are those of the per-interval dense blocks over the
-    m * L local slots, in (b, k, l, j, r) order, converted to CSC."""
+    m * L local slots, in (b, k, l, j, r) order, converted to CSC.  Entries
+    off the planes and the structural zeros outside ``reach`` are left out:
+    each sums only products with an exact zero factor."""
     m, B, L = gidx.shape
     mL = m * L
     plane = np.full((m, m), -1, dtype=np.int32)
@@ -196,7 +218,11 @@ def _hessian_sums(gidx, planes, dim):
     def where(e):
         b, kl, jr = e // (mL * mL), e // mL % mL, e % mL
         p = plane[kl // L, jr // L]
-        return np.where(p >= 0, ((p * L + kl % L) * L + jr % L) * B + b, -1)
+        if batch_major:
+            at = ((p * B + b) * L + kl % L) * L + jr % L
+        else:
+            at = ((p * L + kl % L) * L + jr % L) * B + b
+        return np.where((p >= 0) & reach[e], at, -1)
 
     Gl = gidx.transpose(1, 0, 2).reshape(B, mL).astype(np.int32)
     sums = _SlotSums(np.repeat(Gl, mL, axis=1).ravel(), np.tile(Gl, (1, mL)).ravel(),
@@ -252,6 +278,12 @@ def _drop(data, indices, indptr, drop):
             (indptr - np.searchsorted(drop, indptr)).astype(np.int32))
 
 
+def _slot_values(run, weights, n):
+    """``np.bincount(run, weights, minlength=n)``, in double precision also
+    when nothing is summed (bincount then returns integers)."""
+    return np.bincount(run, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
 def _factor(K):
     if not np.all(np.isfinite(K.data)):
         # SuperLU neither raises nor warns cleanly on non-finite input
@@ -296,8 +328,7 @@ class _ShiftedPlan:
         self.hess = hess
 
     def system(self, Hc, jp, omega):
-        data = np.bincount(self.run, weights=Hc.ravel()[self.hess.pos],
-                           minlength=len(self.indices))
+        data = _slot_values(self.run, Hc.ravel()[self.hess.pos], len(self.indices))
         extra = iter(self.pos_extra)
         if jp is not None:
             jtj = np.zeros((jp.shape[1], jp.shape[1]))
@@ -402,8 +433,7 @@ class _SaddlePlan:
         weights = [Hc.ravel()[self.hess.pos]]
         if self.jq is not None:
             weights += 2 * [jqv.ravel()[self.jq.pos]]
-        data = np.bincount(self.run, weights=np.concatenate(weights),
-                           minlength=len(self.indices))
+        data = _slot_values(self.run, np.concatenate(weights), len(self.indices))
         if jp is not None:
             data[self.pos_jp] = np.tile(jp[self.jp_mask], 2)
         if self.E is not None:
@@ -499,11 +529,35 @@ class _Engine:
             self.Pb = None
 
         # Newton-matrix plans, one per Newton form (keyed by whether it is
-        # the saddle form), and the element-Hessian kernel choice; all fixed
-        # by the pattern and made on the first newton_system call
+        # the saddle form), made on the first newton_system call
         self._plans = {}
-        self._planewise = None
-        self._A_qklb = None
+        # einsum contraction paths, fixed by the operand shapes
+        self._paths = {}
+        # the element-Hessian kernel reproduces numpy's path for the
+        # contraction, whose M has shape (m, m, n_batch, n_quad)
+        steps = self._path(_ELEMENT_HESSIANS, self.A,
+                           np.empty((self.m, self.m) + w.shape), self.A)[1:]
+        self._hessian_kernel = {((0, 1, 2),): "planewise",
+                                ((0, 1), (0, 1)): "batched"}.get(tuple(steps), "einsum")
+        if self._hessian_kernel == "planewise":
+            # (q, k, l, b): the batch axis innermost for the plane sums
+            self._A_kernel = np.ascontiguousarray(self.A.transpose(2, 0, 3, 1))
+        elif self._hessian_kernel == "batched":
+            # (k, b, l, q): the left factor's rows
+            self._A_kernel = np.ascontiguousarray(self.A.transpose(0, 1, 3, 2))
+
+    def _path(self, spec, *operands):
+        """numpy's contraction path for ``spec`` on operands of these
+        shapes, searched once per engine."""
+        key = (spec,) + tuple(op.shape for op in operands)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = np.einsum_path(spec, *operands, optimize=True)[0]
+        return path
+
+    def _einsum(self, spec, *operands):
+        """``np.einsum(spec, *operands, optimize=True)`` on a fixed path."""
+        return np.einsum(spec, *operands, optimize=self._path(spec, *operands))
 
     def _cast(self, name: str, arr, dtype):
         """Dtype-cast view of a fixed array, cached per dtype."""
@@ -526,7 +580,8 @@ class _Engine:
 
     def _call_fc(self, x, order: int):
         """Evaluate f and c at every node; order 0 plain, 1 with first
-        derivatives, 2 with second derivatives as well."""
+        derivatives, 2 with second derivatives as well, returned as the
+        outputs that hold them."""
         vals = self.arg_values(x)
         if order == 0:
             args = [vals[k] for k in range(self.m)]
@@ -552,8 +607,7 @@ class _Engine:
             cgrad = np.zeros((0, self.m) + shape)
         if order == 1:
             return vals, fval, fgrad, None, cval, cgrad, None
-        hess = _hessians([fout, *cout], self.m, shape)
-        return vals, fval, fgrad, hess[0], cval, cgrad, hess[1:]
+        return vals, fval, fgrad, fout, cval, cgrad, cout
 
     def _check_finite(self, arr, what):
         if not np.all(np.isfinite(arr)):
@@ -665,7 +719,7 @@ class _Engine:
         dt = _work_dtype(params, self.extended)
         x = np.asarray(x, dtype=dt)
         order = 2 if with_hessian else 1
-        vals, fval, fgrad, fhess, cval, cgrad, chess = self._call_fc(x, order)
+        vals, fval, fgrad, fout, cval, cgrad, cout = self._call_fc(x, order)
         self._check_finite(fval, "objective integrand")
         if cval.size:
             self._check_finite(cval, "DAE residual")
@@ -678,7 +732,7 @@ class _Engine:
         g_sm = np.zeros(self.dim, dtype=dt)
         g_pen = np.zeros(self.dim, dtype=dt)
 
-        contrib = np.einsum("bq,kbq,kbql->kbl", w, fgrad, A, optimize=True)
+        contrib = self._einsum("bq,kbq,kbql->kbl", w, fgrad, A)
         # barrier
         nz, k0 = self.problem.n_z, 2 * self.problem.n_y
         if nz:
@@ -691,10 +745,7 @@ class _Engine:
             )
         np.add.at(g_sm, gidx, contrib)
         if cval.size:
-            pen = (
-                np.einsum("rbq,bq,rkbq,kbql->kbl", cval, w, cgrad, A, optimize=True)
-                / omega
-            )
+            pen = self._einsum("rbq,bq,rkbq,kbql->kbl", cval, w, cgrad, A) / omega
             np.add.at(g_pen, gidx, pen)
 
         # boundary block
@@ -717,27 +768,8 @@ class _Engine:
         # double precision
         saddle = omega < _EXTENDED_OMEGA and self.extended
         w64, A64 = self.w, self.A
-        fhess64 = np.asarray(fhess, dtype=np.float64)
-        M = w64[None, None] * fhess64
-        if cval.size:
-            cgrad64 = np.asarray(cgrad, dtype=np.float64)
-            if not saddle:
-                M = M + np.einsum(
-                    "rkbq,rjbq,bq->kjbq", cgrad64, cgrad64, w64 / omega, optimize=True
-                )
-            if saddle or omega <= _CURVATURE_OMEGA:
-                # exact penalty curvature, used once iterates are near
-                # feasible: without it the Newton model loses O(|C|/omega)
-                # curvature and weakly determined (singular-arc) directions
-                # destabilize; far from feasibility the same term makes the
-                # model indefinite, so the early stages stay Gauss-Newton
-                M = M + np.einsum(
-                    "rbq,rkjbq,bq->kjbq",
-                    np.asarray(cval, dtype=np.float64),
-                    np.asarray(chess, dtype=np.float64),
-                    w64 / omega,
-                    optimize=True,
-                )
+        shape = (self.n_batch, self.n_quad)
+        cgrad64 = np.asarray(cgrad, dtype=np.float64)
         jp = None
         if bjac is not None and bjac.size:
             # csr_matrix(bjac) @ Pb densely over the boundary dofs: each
@@ -747,22 +779,48 @@ class _Engine:
             jp = np.zeros((bjac64.shape[0], len(self._b_dofs)))
             for s in range(self.n_slots):
                 jp += bjac64[:, s, None] * self._Pb_dense[s]
-        # element Hessians can be nonzero only on the planes where M is, and
-        # on the barrier's diagonal planes; the quadrature Jacobian only on
-        # the (residual, row) pairs where cgrad is
-        planes = np.any(M != 0.0, axis=(2, 3))
+        # exact penalty curvature is used once iterates are near feasible:
+        # without it the Newton model loses O(|C|/omega) curvature and
+        # weakly determined (singular-arc) directions destabilize; far from
+        # feasibility the same term makes the model indefinite, so the early
+        # stages stay Gauss-Newton
+        gauss_newton = cval.size and not saddle
+        exact = cval.size and (saddle or omega <= _CURVATURE_OMEGA)
+        # element Hessians can be nonzero only on the planes where a tracked
+        # Hessian entering M is nonzero, on the squared supports of the
+        # residuals for the Gauss-Newton term, and on the barrier's diagonal
+        # planes; the quadrature Jacobian only on the (residual, row) pairs
+        # where cgrad is nonzero
+        planes = np.zeros((self.m, self.m), dtype=bool)
+        for v in [fout] + (cout if exact else []):
+            if isinstance(v, ad.Dual) and v.sup:
+                s = len(v.sup)
+                planes[np.ix_(v.sup, v.sup)] |= np.any(v.h.reshape(s, s, -1) != 0.0, axis=2)
+        for v in cout if gauss_newton else []:
+            if isinstance(v, ad.Dual) and v.sup:
+                planes[np.ix_(v.sup, v.sup)] = True
         planes[range(k0, k0 + nz), range(k0, k0 + nz)] = True
         pairs = np.any(cgrad64 != 0.0, axis=(2, 3)) if saddle and cval.size else None
         plan = self._plan(saddle, (planes, pairs, None if jp is None else jp != 0.0))
         hess = plan.hess
-        Hc = self._element_hessians(M, hess.ks, hess.js)
+        ks, js = hess.ks, hess.js
+        # M, the curvature weight of each plane, as the sums over all m * m
+        # planes form it, on the plan's planes only
+        M = w64 * _hessians([fout], self.m, shape)[0][ks, js]
+        if gauss_newton:
+            M = M + self._einsum("rkbq,rjbq,bq->kjbq", cgrad64, cgrad64, w64 / omega)[ks, js]
+        if exact:
+            M = M + self._einsum("rbq,rkjbq,bq->kjbq", np.asarray(cval, dtype=np.float64),
+                                 _hessians(cout, self.m, shape), w64 / omega)[ks, js]
+        Hc = self._element_hessians(M, ks, js)
         if nz:
             zvals64 = np.asarray(vals[k0 : k0 + nz], dtype=np.float64)
             for j in range(nz):
                 k = k0 + j
-                Hc[hess.plane[k, k]] += np.einsum(
-                    "bq,bql,bqr->blr", tau * w64 / zvals64[j] ** 2, A64[k], A64[k]
-                ).transpose(1, 2, 0)
+                term = np.einsum("bq,bql,bqr->blr", tau * w64 / zvals64[j] ** 2, A64[k], A64[k])
+                if self._hessian_kernel != "batched":
+                    term = term.transpose(1, 2, 0)
+                Hc[hess.plane[k, k]] += term
         if not saddle:
             return g, plan.system(Hc, jp, omega)
 
@@ -802,7 +860,8 @@ class _Engine:
                 return plan
             masks = tuple(None if m is None else m | p for m, p in zip(masks, plan.masks))
         planes, pairs, jp_mask = masks
-        hess = _hessian_sums(self.gidx, planes, self.dim)
+        hess = _hessian_sums(self.gidx, planes, _reach(self.A), self.dim,
+                             batch_major=self._hessian_kernel == "batched")
         b_dofs = self._b_dofs if jp_mask is not None else None
         if saddle:
             jq = None
@@ -816,31 +875,38 @@ class _Engine:
         return plan
 
     def _element_hessians(self, M, ks, js):
-        """Per-interval blocks einsum("kbql,kjbq,jbqr->bkljr", A, M, A), bit
-        for bit, on the (k, j) planes listed only, indexed (plane, l, r, b).
+        """Per-interval blocks ``np.einsum(_ELEMENT_HESSIANS, A, M_full, A,
+        optimize=True)``, bit for bit, on the (k, j) planes listed only,
+        indexed (plane, b, l, r) by the batched kernel and (plane, l, r, b)
+        otherwise.  ``M`` holds ``M_full[ks, js]``, and ``M_full`` is zero
+        on every other plane.
 
-        When numpy contracts the three operands in one pass it sums over q
-        in ascending order the products A_k * (M_kj * A_j); those sums are
-        formed a chunk of planes at a time, so that a chunk's operands stay
-        in cache.  When numpy picks a pairwise path instead, its rounding
-        is not reproduced plane by plane, and the planes are gathered from
-        einsum's result."""
-        A, L, B = self.A, self.L, self.n_batch
-        if self._planewise is None:
-            path = np.einsum_path("kbql,kjbq,jbqr->bkljr", A, M, A, optimize=True)[0]
-            self._planewise = path[1:] == [(0, 1, 2)]
-            # (q, k, l, b): the batch axis innermost for the plane sums
-            self._A_qklb = np.ascontiguousarray(A.transpose(2, 0, 3, 1))
-        if not self._planewise:
-            H = np.einsum("kbql,kjbq,jbqr->bkljr", A, M, A, optimize=True)
+        Each kernel repeats the arithmetic of numpy's path for the
+        contraction.  When numpy contracts the three operands in one pass it
+        sums over q in ascending order the products A_k * (M_kj * A_j);
+        those sums are formed a chunk of planes at a time, so that a chunk's
+        operands stay in cache.  When its path is pairwise, numpy multiplies
+        M_kj * A_k and contracts that with A_j over q by ``matmul``; the
+        batched kernel runs the same products and the same matmul over q,
+        on the listed planes only.  Any other path is run as the einsum
+        itself.  The contract is against the installed NumPy's
+        ``np.einsum``, and tests/test_newton_parity.py checks it."""
+        if self._hessian_kernel == "batched":
+            left = M[:, :, None, :] * self._A_kernel[ks]
+            return np.matmul(left, self.A[js])
+        if self._hessian_kernel == "einsum":
+            full = np.zeros((self.m, self.m) + M.shape[1:])
+            full[ks, js] = M
+            H = self._einsum(_ELEMENT_HESSIANS, self.A, full, self.A)
             return H.transpose(1, 3, 2, 4, 0)[ks, js]
-        Aq = self._A_qklb
+        Aq, L, B = self._A_kernel, self.L, self.n_batch
         Hc = np.empty((len(ks), L, L, B))
         term = np.empty((_PLANE_CHUNK, L, L, B))
         for c in range(0, len(ks), _PLANE_CHUNK):
             k, j = ks[c : c + _PLANE_CHUNK], js[c : c + _PLANE_CHUNK]
             Ak = Aq[:, k, :, None, :]
-            MA = (M[k, j].transpose(2, 0, 1)[:, :, None, :] * Aq[:, j])[:, :, None]
+            MA = (M[c : c + _PLANE_CHUNK].transpose(2, 0, 1)[:, :, None, :]
+                  * Aq[:, j])[:, :, None]
             acc, t = Hc[c : c + len(k)], term[: len(k)]
             np.multiply(Ak[0], MA[0], out=acc)
             for q in range(1, self.n_quad):

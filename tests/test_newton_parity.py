@@ -28,23 +28,25 @@ from pbfem.transcription import PenaltyBarrierParams, TranscribedNLP
 
 CASES = [
     # FE at Q = 10: numpy contracts the element Hessian in one pass, so the
-    # plane-by-plane kernel runs; LGR at Q = 5 keeps numpy's pairwise path;
+    # plane-by-plane kernel runs (True); LGR at Q = 5 takes numpy's pairwise
+    # path, which the batched kernel runs on the nonzero planes (False);
     # Hermite-Simpson and trapezoidal (Q = 1) add linear linkage rows E
     ("vanderpol", "pbf", 4, True),
     ("pendulum-a", "pbf", 3, True),
     ("pendulum-a", "lgr", 3, False),
+    ("pendulum-a", "lgr", 30, False),  # the benchmark mesh
     ("pendulum-a", "hs", 3, None),
     ("pendulum-a", "tr", 3, None),
 ]
 
 
-def _make_nlp(problem, method, n, omega):
+def _make_nlp(problem, method, n, omega, p=5):
     mesh = uniform_mesh(problem.t0, problem.tE, n)
     params = PenaltyBarrierParams(omega, omega)
     if method == "pbf":
-        return TranscribedNLP(problem, FESpace(mesh, 5, problem.n_y, problem.n_z),
+        return TranscribedNLP(problem, FESpace(mesh, p, problem.n_y, problem.n_z),
                               params=params)
-    return transcribe_collocation(problem, mesh, CollocationScheme(method, 5), params)
+    return transcribe_collocation(problem, mesh, CollocationScheme(method, p), params)
 
 
 def _point(nlp, problem, n):
@@ -55,9 +57,9 @@ def _point(nlp, problem, n):
     return nlp.interior_push(x, 0.3)
 
 
-def _nlp_and_point(name, method, n, omega, problem=None):
+def _nlp_and_point(name, method, n, omega, problem=None, p=5):
     problem = problem or build(name).problem
-    nlp = _make_nlp(problem, method, n, omega)
+    nlp = _make_nlp(problem, method, n, omega, p)
     return nlp, _point(nlp, problem, n)
 
 
@@ -204,8 +206,104 @@ def test_newton_build_is_bit_exact(monkeypatch, name, method, n, planewise, omeg
     nlp, x = _nlp_and_point(name, method, n, omega)
     g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(shift))
     if planewise is not None:
-        assert nlp.engine._planewise is planewise
+        assert nlp.engine._hessian_kernel == ("planewise" if planewise else "batched")
     _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(shift))
+
+
+@pytest.mark.parametrize("omega", [1e-3, 1e-6])
+@pytest.mark.parametrize("method,p,kernel", [
+    # FE at p = 1 (Q = 2) takes numpy's pairwise path, so the batched kernel
+    # runs on FE too; LGR at p = 1 has one node per interval
+    ("pbf", 1, "batched"), ("pbf", 3, "planewise"), ("lgr", 1, "batched"), ("lgr", 3, "batched"),
+])
+def test_newton_build_is_bit_exact_at_other_degrees(monkeypatch, method, p, kernel, omega):
+    nlp, x = _nlp_and_point("pendulum-a", method, 4, omega, p=p)
+    g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
+    assert nlp.engine._hessian_kernel == kernel
+    _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
+
+
+def _oscillator(linear):
+    """Van der Pol without its control input, so n_z = 0.  ``linear``
+    leaves a linear objective and no residual rows: then no element-Hessian
+    plane can be nonzero at all."""
+    problem = dataclasses.replace(build("vanderpol").problem, n_z=0, metadata={})
+    if linear:
+        return dataclasses.replace(problem, n_c=0, f=lambda yd, y, z, t: y[1],
+                                   c=lambda *args: [])
+    return dataclasses.replace(
+        problem, n_c=2,
+        c=lambda yd, y, z, t: [yd[0] - y[1], yd[1] - (-y[0] + y[1] * (1.0 - y[0] ** 2))])
+
+
+@pytest.mark.parametrize("omega", [1e-3, 1e-6])
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("method", ["pbf", "lgr"])
+def test_newton_build_without_algebraic_components(monkeypatch, method, linear, omega):
+    problem = _oscillator(linear)
+    nlp, x = _nlp_and_point(None, method, 4, omega, problem=problem)
+    g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
+    planes = [len(plan.hess.ks) for plan in nlp.engine._plans.values()]
+    assert (planes == [0]) if linear else all(planes)
+    _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
+
+
+@pytest.mark.parametrize("method,p", [("lgr", 5), ("lgr", 1), ("pbf", 1)])
+def test_batched_kernel_equals_einsum_over_all_planes(method, p):
+    # random curvature weights M spanning 16 orders of magnitude on random
+    # plane subsets (the empty one included): the batched kernel's planes
+    # equal those of numpy's contraction over all m * m planes
+    nlp = _make_nlp(build("pendulum-a").problem, method, 30, 1e-3, p)
+    engine = nlp.engine
+    assert engine._hessian_kernel == "batched"
+    m, shape = engine.m, (engine.n_batch, engine.n_quad)
+    rng = np.random.default_rng(2024)
+    for trial in range(40):
+        planes = rng.random((m, m)) < (0.0 if trial == 0 else rng.uniform(0.05, 1.0))
+        ks, js = np.nonzero(planes)
+        M = np.zeros((m, m) + shape)
+        size = (len(ks),) + shape
+        M[ks, js] = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+        ref = np.einsum(transcription._ELEMENT_HESSIANS, engine.A, M, engine.A, optimize=True)
+        Hc = engine._element_hessians(M[ks, js], ks, js)
+        assert np.array_equal(Hc, ref.transpose(1, 3, 0, 2, 4)[ks, js])
+
+
+def test_lgr_plan_holds_no_structural_zero():
+    # the LGR basis of the z rows is a set of unit vectors, so most products
+    # A[k, b, q, l] * A[j, b, q, r] vanish for every q: the Gauss-Newton
+    # plan sums exactly the entries where some product does not
+    nlp, x = _nlp_and_point("pendulum-a", "lgr", 30, 1e-3)
+    nlp.newton_system(x)
+    engine = nlp.engine
+    hess = engine._plans[False].hess
+    A, B, L = engine.A, engine.n_batch, engine.L
+    nonzero = np.einsum("kbql,jbqr->kjblr", (A != 0).astype(int), (A != 0).astype(int)) > 0
+    on_planes = nonzero[hess.ks, hess.js]
+    p, b, l, r = np.unravel_index(hess.pos, (len(hess.ks), B, L, L))
+    assert on_planes[p, b, l, r].all()
+    assert len(hess.pos) == np.count_nonzero(on_planes) < on_planes.size
+
+
+@pytest.mark.parametrize("method", ["pbf", "lgr"])
+def test_non_finite_curvature_refuses_every_factorization(method):
+    # a residual with an infinite second derivative at the point (y^1.5 at
+    # y = 0): its exact curvature enters the Newton matrix, which must be
+    # refused at every shift although the structural zeros it would turn
+    # into NaN (0 * inf) hold no slot
+    problem = build("pendulum-a").problem
+    c = problem.c
+    problem = dataclasses.replace(
+        problem, c=lambda yd, y, z, t: [c(yd, y, z, t)[0] + y[0] ** 1.5, *c(yd, y, z, t)[1:]])
+    nlp, x = _nlp_and_point(None, method, 3, 1e-6, problem=problem)
+    x = np.array(x)
+    x[nlp.engine.gidx[problem.n_y]] = 0.0  # the coefficients of y[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.all(nlp.engine.arg_values(x)[problem.n_y] == 0.0)
+        g, system = nlp.newton_system(x)
+        for shift in (0.0, 1e-6, 1e-2, 1.0):
+            with pytest.raises(ValueError, match="non-finite Newton matrix"):
+                system.solve(g, shift)
 
 
 @pytest.mark.parametrize("omega", [1e-3, 1e-6])
@@ -249,12 +347,14 @@ def test_shared_engine_matches_fresh_engines(monkeypatch, name, method, n):
 
 
 def test_plan_grows_with_the_nonzero_planes(monkeypatch):
-    # a curvature term that is zero at the first Newton system and nonzero
-    # at the next: the plan made for the first must be remade to cover it
+    # a curvature term that is absent at the first Newton system and
+    # present at the next, so that the objective's support grows: the plan
+    # made for the first must be remade to cover it
     problem = build("vanderpol").problem
     f, scale = problem.f, [0.0]
     problem = dataclasses.replace(
-        problem, f=lambda ydot, y, z, t: f(ydot, y, z, t) + scale[0] * (ydot[0] * y[0]))
+        problem, f=lambda ydot, y, z, t: f(ydot, y, z, t) + (
+            scale[0] * (ydot[0] * y[0]) if scale[0] else 0.0))
     nlp, x = _nlp_and_point(None, "pbf", 4, 1e-3, problem=problem)
     nlp.newton_system(x)
     planes = nlp.engine._plans[False].masks[0].copy()
