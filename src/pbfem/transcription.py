@@ -12,22 +12,23 @@ derivatives with respect to the local coefficient couplings.
 
 The Newton build works only on nonzero entries and does its symbolic work
 once per transcription and Newton form.  Element Hessians are formed only
-on the argument planes where the tracked derivative supports make the
-curvature nonzero, into a compact array, by a kernel that repeats numpy's
-contraction path on those planes; every ``einsum`` runs on a path fixed
-per transcription.  Within the planes, the structural zeros get no slot:
-the entries where the basis product ``A[k, b, q, l] * A[j, b, q, r]``
-(see ``_Engine``) vanishes at every node q, as it does for most pairs of
-the unit-vector LGR basis of the algebraic rows.  A plan per Newton form
--- the Gauss-Newton matrix H + mu I, or the saddle matrix with the
-constraint Jacobian -- fixes the CSC pattern handed to SuperLU and where
-each Hessian sum, Jacobian value and shift lands in it; the plan is made on the first ``newton_system`` call of its form and
-remade only if more entries turn nonzero.  Bit-exactness is a contract:
-gradients and Newton matrices equal, bit for bit, those of the dense
-assembly that evaluates one ``np.einsum`` over all planes, converts COO
-triplets with scipy and forms ``H + X``, ``H + shift * I`` and the block
-matrix with scipy's sparse arithmetic on every iteration
-(tests/test_newton_parity.py).
+on the argument planes where the curvature can be nonzero -- those where a
+tracked second derivative is nonzero, or that a residual's derivative
+support spans for the Gauss-Newton term -- into a compact array, by a
+kernel that repeats numpy's contraction path on those planes.  Within the
+planes, the structural zeros get no slot: the entries where the basis
+product ``A[k, b, q, l] * A[j, b, q, r]`` (see ``_Engine``) vanishes at
+every node q, as it does for most pairs of the unit-vector LGR basis of the
+algebraic rows.  A plan per Newton form -- the Gauss-Newton matrix
+H + mu I, or the saddle matrix with the constraint Jacobian -- fixes the
+CSC pattern handed to SuperLU and where each Hessian sum, Jacobian value
+and shift lands in it; the plan is made on the first ``newton_system``
+call of its form and remade only if more entries turn nonzero.
+Bit-exactness is a contract: gradients and Newton matrices equal, bit for
+bit, those of the dense assembly that evaluates one ``np.einsum`` over all
+planes, converts COO triplets with scipy and forms ``H + X``,
+``H + shift * I`` and the block matrix with scipy's sparse arithmetic on
+every iteration (tests/test_newton_parity.py).
 """
 
 from __future__ import annotations
@@ -531,33 +532,36 @@ class _Engine:
         # Newton-matrix plans, one per Newton form (keyed by whether it is
         # the saddle form), made on the first newton_system call
         self._plans = {}
-        # einsum contraction paths, fixed by the operand shapes
-        self._paths = {}
         # the element-Hessian kernel reproduces numpy's path for the
-        # contraction, whose M has shape (m, m, n_batch, n_quad)
-        steps = self._path(_ELEMENT_HESSIANS, self.A,
-                           np.empty((self.m, self.m) + w.shape), self.A)[1:]
+        # contraction, whose M has shape (m, m, n_batch, n_quad); the kernel
+        # fixes the layout of the compact element Hessians, (plane, b, l, r)
+        # when batch-major and (plane, l, r, b) otherwise
+        path = np.einsum_path(_ELEMENT_HESSIANS, self.A, np.empty((self.m, self.m) + w.shape),
+                              self.A, optimize=True)[0]
         self._hessian_kernel = {((0, 1, 2),): "planewise",
-                                ((0, 1), (0, 1)): "batched"}.get(tuple(steps), "einsum")
+                                ((0, 1), (0, 1)): "batched"}.get(tuple(path[1:]), "einsum")
         if self._hessian_kernel == "planewise":
             # (q, k, l, b): the batch axis innermost for the plane sums
             self._A_kernel = np.ascontiguousarray(self.A.transpose(2, 0, 3, 1))
         elif self._hessian_kernel == "batched":
             # (k, b, l, q): the left factor's rows
             self._A_kernel = np.ascontiguousarray(self.A.transpose(0, 1, 3, 2))
+            if not self._batched_kernel_is_einsum():
+                self._hessian_kernel = "einsum"
+        self._batch_major = self._hessian_kernel == "batched"
 
-    def _path(self, spec, *operands):
-        """numpy's contraction path for ``spec`` on operands of these
-        shapes, searched once per engine."""
-        key = (spec,) + tuple(op.shape for op in operands)
-        path = self._paths.get(key)
-        if path is None:
-            path = self._paths[key] = np.einsum_path(spec, *operands, optimize=True)[0]
-        return path
-
-    def _einsum(self, spec, *operands):
-        """``np.einsum(spec, *operands, optimize=True)`` on a fixed path."""
-        return np.einsum(spec, *operands, optimize=self._path(spec, *operands))
+    def _batched_kernel_is_einsum(self):
+        """Whether the batched kernel gives ``np.einsum``'s bits on one M
+        over all planes, with entries spread over 16 orders of magnitude.
+        numpy releases that run the pairwise path's second step through
+        ``c_einsum`` instead of ``matmul`` sum over q in another order."""
+        m, shape = self.m, self.w.shape
+        rng = np.random.default_rng(0)
+        M = rng.standard_normal((m, m) + shape) * 10.0 ** rng.uniform(-8.0, 8.0, (m, m) + shape)
+        ks, js = np.nonzero(np.ones((m, m), dtype=bool))
+        full = np.einsum(_ELEMENT_HESSIANS, self.A, M, self.A, optimize=True)
+        return np.array_equal(self._element_hessians(M[ks, js], ks, js),
+                              full.transpose(1, 3, 0, 2, 4)[ks, js])
 
     def _cast(self, name: str, arr, dtype):
         """Dtype-cast view of a fixed array, cached per dtype."""
@@ -732,7 +736,7 @@ class _Engine:
         g_sm = np.zeros(self.dim, dtype=dt)
         g_pen = np.zeros(self.dim, dtype=dt)
 
-        contrib = self._einsum("bq,kbq,kbql->kbl", w, fgrad, A)
+        contrib = np.einsum("bq,kbq,kbql->kbl", w, fgrad, A, optimize=True)
         # barrier
         nz, k0 = self.problem.n_z, 2 * self.problem.n_y
         if nz:
@@ -745,7 +749,10 @@ class _Engine:
             )
         np.add.at(g_sm, gidx, contrib)
         if cval.size:
-            pen = self._einsum("rbq,bq,rkbq,kbql->kbl", cval, w, cgrad, A) / omega
+            pen = (
+                np.einsum("rbq,bq,rkbq,kbql->kbl", cval, w, cgrad, A, optimize=True)
+                / omega
+            )
             np.add.at(g_pen, gidx, pen)
 
         # boundary block
@@ -804,21 +811,24 @@ class _Engine:
         plan = self._plan(saddle, (planes, pairs, None if jp is None else jp != 0.0))
         hess = plan.hess
         ks, js = hess.ks, hess.js
-        # M, the curvature weight of each plane, as the sums over all m * m
-        # planes form it, on the plan's planes only
+        # M, the curvature weight of each plane: each term is formed over
+        # all m * m planes, as the reference sums form it, and sliced to the
+        # plan's planes
         M = w64 * _hessians([fout], self.m, shape)[0][ks, js]
         if gauss_newton:
-            M = M + self._einsum("rkbq,rjbq,bq->kjbq", cgrad64, cgrad64, w64 / omega)[ks, js]
+            M = M + np.einsum("rkbq,rjbq,bq->kjbq", cgrad64, cgrad64, w64 / omega,
+                              optimize=True)[ks, js]
         if exact:
-            M = M + self._einsum("rbq,rkjbq,bq->kjbq", np.asarray(cval, dtype=np.float64),
-                                 _hessians(cout, self.m, shape), w64 / omega)[ks, js]
+            M = M + np.einsum("rbq,rkjbq,bq->kjbq", np.asarray(cval, dtype=np.float64),
+                              _hessians(cout, self.m, shape), w64 / omega,
+                              optimize=True)[ks, js]
         Hc = self._element_hessians(M, ks, js)
         if nz:
             zvals64 = np.asarray(vals[k0 : k0 + nz], dtype=np.float64)
             for j in range(nz):
                 k = k0 + j
                 term = np.einsum("bq,bql,bqr->blr", tau * w64 / zvals64[j] ** 2, A64[k], A64[k])
-                if self._hessian_kernel != "batched":
+                if not self._batch_major:
                     term = term.transpose(1, 2, 0)
                 Hc[hess.plane[k, k]] += term
         if not saddle:
@@ -860,8 +870,7 @@ class _Engine:
                 return plan
             masks = tuple(None if m is None else m | p for m, p in zip(masks, plan.masks))
         planes, pairs, jp_mask = masks
-        hess = _hessian_sums(self.gidx, planes, _reach(self.A), self.dim,
-                             batch_major=self._hessian_kernel == "batched")
+        hess = _hessian_sums(self.gidx, planes, _reach(self.A), self.dim, self._batch_major)
         b_dofs = self._b_dofs if jp_mask is not None else None
         if saddle:
             jq = None
@@ -888,8 +897,9 @@ class _Engine:
         operands stay in cache.  When its path is pairwise, numpy multiplies
         M_kj * A_k and contracts that with A_j over q by ``matmul``; the
         batched kernel runs the same products and the same matmul over q,
-        on the listed planes only.  Any other path is run as the einsum
-        itself.  The contract is against the installed NumPy's
+        on the listed planes only, and is kept only if it matches
+        ``np.einsum`` on a test M at construction.  Any other path is run as
+        the einsum itself.  The contract is against the installed NumPy's
         ``np.einsum``, and tests/test_newton_parity.py checks it."""
         if self._hessian_kernel == "batched":
             left = M[:, :, None, :] * self._A_kernel[ks]
@@ -897,7 +907,7 @@ class _Engine:
         if self._hessian_kernel == "einsum":
             full = np.zeros((self.m, self.m) + M.shape[1:])
             full[ks, js] = M
-            H = self._einsum(_ELEMENT_HESSIANS, self.A, full, self.A)
+            H = np.einsum(_ELEMENT_HESSIANS, self.A, full, self.A, optimize=True)
             return H.transpose(1, 3, 2, 4, 0)[ks, js]
         Aq, L, B = self._A_kernel, self.L, self.n_batch
         Hc = np.empty((len(ks), L, L, B))

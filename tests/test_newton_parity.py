@@ -269,6 +269,23 @@ def test_batched_kernel_equals_einsum_over_all_planes(method, p):
         assert np.array_equal(Hc, ref.transpose(1, 3, 0, 2, 4)[ks, js])
 
 
+def test_batched_kernel_that_differs_from_einsum_is_not_used(monkeypatch):
+    # a batched kernel whose bits differ from np.einsum's, as on numpy
+    # releases that run the pairwise path's second step without matmul, is
+    # found at construction: the einsum itself runs, in its layout
+    kernel = transcription._Engine._element_hessians
+
+    def one_ulp_off(engine, M, ks, js):
+        Hc = kernel(engine, M, ks, js)
+        return np.nextafter(Hc, np.inf) if engine._hessian_kernel == "batched" else Hc
+
+    monkeypatch.setattr(transcription._Engine, "_element_hessians", one_ulp_off)
+    nlp, x = _nlp_and_point("pendulum-a", "lgr", 3, 1e-3)
+    assert nlp.engine._hessian_kernel == "einsum" and not nlp.engine._batch_major
+    g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
+    _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
+
+
 def test_lgr_plan_holds_no_structural_zero():
     # the LGR basis of the z rows is a set of unit vectors, so most products
     # A[k, b, q, l] * A[j, b, q, r] vanish for every q: the Gauss-Newton
@@ -280,7 +297,10 @@ def test_lgr_plan_holds_no_structural_zero():
     A, B, L = engine.A, engine.n_batch, engine.L
     nonzero = np.einsum("kbql,jbqr->kjblr", (A != 0).astype(int), (A != 0).astype(int)) > 0
     on_planes = nonzero[hess.ks, hess.js]
-    p, b, l, r = np.unravel_index(hess.pos, (len(hess.ks), B, L, L))
+    if engine._batch_major:
+        p, b, l, r = np.unravel_index(hess.pos, (len(hess.ks), B, L, L))
+    else:
+        p, l, r, b = np.unravel_index(hess.pos, (len(hess.ks), L, L, B))
     assert on_planes[p, b, l, r].all()
     assert len(hess.pos) == np.count_nonzero(on_planes) < on_planes.size
 
@@ -346,15 +366,14 @@ def test_shared_engine_matches_fresh_engines(monkeypatch, name, method, n):
     assert len(engine._plans) == (2 if method == "pbf" else 1)
 
 
-def test_plan_grows_with_the_nonzero_planes(monkeypatch):
-    # a curvature term that is absent at the first Newton system and
-    # present at the next, so that the objective's support grows: the plan
-    # made for the first must be remade to cover it
+def _assert_plan_grows(monkeypatch, term):
+    # a curvature term that is scaled by 0 at the first Newton system and
+    # by 1 at the next: the plan made for the first must be remade to
+    # cover it
     problem = build("vanderpol").problem
     f, scale = problem.f, [0.0]
     problem = dataclasses.replace(
-        problem, f=lambda ydot, y, z, t: f(ydot, y, z, t) + (
-            scale[0] * (ydot[0] * y[0]) if scale[0] else 0.0))
+        problem, f=lambda ydot, y, z, t: f(ydot, y, z, t) + term(scale[0], ydot, y))
     nlp, x = _nlp_and_point(None, "pbf", 4, 1e-3, problem=problem)
     nlp.newton_system(x)
     planes = nlp.engine._plans[False].masks[0].copy()
@@ -362,6 +381,17 @@ def test_plan_grows_with_the_nonzero_planes(monkeypatch):
     g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
     assert (nlp.engine._plans[False].masks[0] & ~planes).any()
     _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
+
+
+def test_plan_grows_with_the_nonzero_planes(monkeypatch):
+    # times 0.0 the term keeps its support, with zero Hessian values
+    _assert_plan_grows(monkeypatch, lambda scale, ydot, y: scale * (ydot[0] * y[0]))
+
+
+def test_plan_grows_with_the_objective_support(monkeypatch):
+    # left out at first, the term widens the objective's tracked support
+    _assert_plan_grows(monkeypatch,
+                       lambda scale, ydot, y: scale * (ydot[0] * y[0]) if scale else 0.0)
 
 
 def _row_by_row(engine, x):
