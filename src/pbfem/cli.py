@@ -1,8 +1,14 @@
 """Command-line driver: solve, study, compare, list-problems.
 
 Artifacts are plain JSON and CSV so downstream plotting stays decoupled
-from this package.  Exit codes: 0 success, 1 solver non-convergence,
-2 configuration error.
+from this package.  Exit codes:
+
+- 0: success.
+- 1: the solver did not converge, or a result was flagged; or a solve
+  failed -- non-finite problem output (``EvaluationError``), a barrier
+  domain error, or a numerical failure (``RuntimeError``).  A failed
+  solve prints one line and writes no artifacts.
+- 2: configuration error.
 """
 
 from __future__ import annotations
@@ -163,8 +169,12 @@ def _write_samples_csv(path: Path, problem, trajectory, p: int, n_elements: int)
 def cmd_solve(config: RunConfig) -> int:
     spec = build(config.problem)
     out = _output_dir(config.output_dir)
-    report = _run_one(spec, config.method, config.n_elements, config.p,
-                      config.solver_config(spec.metadata))
+    try:
+        report = _run_one(spec, config.method, config.n_elements, config.p,
+                          config.solver_config(spec.metadata))
+    except (EvaluationError, BarrierDomainError, RuntimeError) as exc:
+        print(f"{config.problem} {config.method}: failed ({exc})")
+        return 1
     ringing = _ringing_report(spec, report.trajectory)
     err = _reference_error(spec, report.trajectory)
     converged = report.success and report.r_feas <= 1e-3

@@ -15,15 +15,22 @@ once per transcription and Newton form.  Element Hessians are formed only
 on the argument planes where the curvature can be nonzero -- those where a
 tracked second derivative is nonzero, or that a residual's derivative
 support spans for the Gauss-Newton term -- into a compact array, by a
-kernel that repeats numpy's contraction path on those planes.  Within the
-planes, the structural zeros get no slot: the entries where the basis
-product ``A[k, b, q, l] * A[j, b, q, r]`` (see ``_Engine``) vanishes at
-every node q, as it does for most pairs of the unit-vector LGR basis of the
-algebraic rows.  A plan per Newton form -- the Gauss-Newton matrix
-H + mu I, or the saddle matrix with the constraint Jacobian -- fixes the
-CSC pattern handed to SuperLU and where each Hessian sum, Jacobian value
-and shift lands in it; the plan is made on the first ``newton_system``
-call of its form and remade only if more entries turn nonzero.
+kernel that repeats numpy's contraction path on those planes.  The exact
+penalty curvature is contracted from the residuals' compact Hessians on
+the planes where one of them is nonzero, and residuals are differentiated
+to second order only in the stages that use it.  Within the planes, the
+structural zeros get no slot: the entries where the basis product
+``A[k, b, q, l] * A[j, b, q, r]`` (see ``_Engine``) vanishes at every node
+q, as it does for most pairs of the unit-vector LGR basis of the algebraic
+rows.  A plan per Newton form -- the Gauss-Newton matrix H + mu I, or the
+saddle matrix with the constraint Jacobian -- fixes the CSC pattern handed
+to SuperLU and where each Hessian sum, Jacobian value and shift lands in
+it; the plan is made on the first ``newton_system`` call of its form and
+remade only if more entries turn nonzero.  It is made a chunk of columns
+(or rows) at a time, replaying scipy's COO conversion and forming the
+union of the slot lists chunk by chunk, so that its transient index
+arrays stay small however large the mesh: plans are built inside a solve,
+where their transient memory is peak memory.
 Bit-exactness is a contract: gradients and Newton matrices equal, bit for
 bit, those of the dense assembly that evaluates one ``np.einsum`` over all
 planes, converts COO triplets with scipy and forms ``H + X``,
@@ -62,6 +69,10 @@ _HAVE_LONGDOUBLE = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 # the element Hessians: sum over q of A_k * M_kj * A_j per interval
 _ELEMENT_HESSIANS = "kbql,kjbq,jbqr->bkljr"
+
+# the exact penalty curvature weights: sum over the residuals r of
+# C_r * Hessian(C_r), times w / omega
+_RESIDUAL_CURVATURE = "rbq,rkjbq,bq->kjbq"
 
 # element-Hessian planes summed together: a chunk's operands and
 # accumulator (about 0.2 MB each at p = 5 and 40 intervals) stay in cache
@@ -110,6 +121,38 @@ def _hessians(outs, m, shape):
     return hess
 
 
+def _on_planes(v, ks, js, nonzero=False):
+    """The planes (ks[p], js[p]) that the tracked Hessian of a callable's
+    output covers -- with ``nonzero``, those where it holds a nonzero
+    value: their indices p, and where they lie in ``v.h``."""
+    if not (isinstance(v, ad.Dual) and v.sup and v.h is not None):
+        return (np.zeros(0, dtype=np.intp),) * 3
+    s = len(v.sup)
+    local = np.full(v.m, -1)
+    local[list(v.sup)] = np.arange(s)
+    lk, lj = local[ks], local[js]
+    on = (lk >= 0) & (lj >= 0)
+    if nonzero:
+        on[on] = np.any(v.h.reshape(s, s, -1) != 0.0, axis=2)[lk[on], lj[on]]
+    p = np.flatnonzero(on)
+    return p, lk[p], lj[p]
+
+
+def _curvature_matmul(block, cval):
+    """sum_r block[r, p, b, q] * cval[r, b, q], shape (plane, b, q), as
+    numpy's pairwise einsum path contracts r: one ``matmul`` per node of
+    the (plane, residual) block, a strided view of the contiguous
+    (residual, plane, b, q) array, with the residual values.  Like
+    numpy's view of the dense Hessians, the block is no BLAS operand, so
+    ``matmul`` sums each product over r in its own loop."""
+    nc, P, B, Q = block.shape
+    if P == 1:  # one row would make it a dot product
+        block = np.concatenate([block, np.zeros_like(block)], axis=1)
+    ab = np.matmul(block.transpose(2, 3, 1, 0).reshape(B * Q, -1, nc),
+                   cval.transpose(1, 2, 0).reshape(B * Q, nc, 1))
+    return ab.reshape(B, Q, -1)[:, :, :P].transpose(2, 0, 1)
+
+
 def _row_dots(w, v):
     """``np.dot(w[b], v[..., b, :])`` for every (leading index, b) row, in
     that order, as one ``matmul``.
@@ -121,71 +164,150 @@ def _row_dots(w, v):
     return np.matmul(w[:, None, :], np.ascontiguousarray(v)[..., None]).ravel()
 
 
-def _conversion_order(rows, cols, shape, fmt):
-    """The symbolic half of scipy's COO -> CSR/CSC conversion of a fixed
-    entry pattern.
+# COO entries, or union slots, that the plan build handles at a time: its
+# transient index arrays stay a few hundred kB however large the mesh
+_CHUNK_ENTRIES = 1 << 13
 
-    ``coo_matrix((vals, (rows, cols)), shape)`` converted with ``.tocsr()``
-    (``fmt="csr"``) or ``.tocsc()`` holds, bit for bit,
-    ``np.bincount(run, weights=vals[perm])`` in the slots ``(major,
-    minor)``: entries are bucketed stably by major index as ``coo_tocsr``
-    does, scipy's own in-line index sort is run once on entry numbers to
-    fix the order in which duplicates meet, and duplicates are then summed
-    sequentially in that order, as ``csr_sum_duplicates`` sums them.
-    Returns ``perm``, ``run``, ``major`` and ``minor``, all int32.
-    """
-    # int32 throughout and intermediates dropped early: plans are built
-    # inside a solve, where their transient memory is peak memory
-    csc = fmt == "csc"
-    major, minor = (cols, rows) if csc else (rows, cols)
-    n_major, n_minor = (shape[1], shape[0]) if csc else shape
-    indptr = np.zeros(n_major + 1, dtype=np.int32)
-    np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
-    order = np.argsort(major, kind="stable")
-    tagged = scipy.sparse.csr_matrix(
-        (order.astype(np.float64), minor[order].astype(np.int32, copy=False), indptr),
-        shape=(n_major, n_minor),
-    )
-    del order
-    tagged.sort_indices()
-    minor_s = tagged.indices
-    perm = tagged.data.astype(np.int32)
-    del tagged
-    major_s = np.repeat(np.arange(n_major, dtype=np.int32), np.diff(indptr))
-    first = np.empty(len(minor_s), dtype=bool)
+
+def _chunks(ptr, step):
+    """Consecutive ranges ``(c0, c1)`` of the ``len(ptr) - 1`` majors whose
+    item counts ``ptr`` holds cumulatively, each with at most ``step`` items
+    (a single major may hold more); one range when ``step`` is None."""
+    n = len(ptr) - 1
+    if step is None:
+        yield 0, n
+        return
+    c0 = 0
+    while c0 < n:
+        c1 = int(np.searchsorted(ptr, ptr[c0] + step, side="right")) - 1
+        c1 = min(max(c1, c0 + 1), n)
+        yield c0, c1
+        c0 = c1
+
+
+def _starts(*keys):
+    """Where a run of equal consecutive key tuples begins."""
+    first = np.empty(len(keys[0]), dtype=bool)
     first[:1] = True
-    np.not_equal(minor_s[1:], minor_s[:-1], out=first[1:])
-    first[1:] |= major_s[1:] != major_s[:-1]
-    run = np.cumsum(first, dtype=np.int32)
-    run -= 1
-    return perm, run, major_s[first], minor_s[first]
+    np.not_equal(keys[0][1:], keys[0][:-1], out=first[1:])
+    for k in keys[1:]:
+        first[1:] |= k[1:] != k[:-1]
+    return first
+
+
+def _chunk_size(Gl):
+    """Entries per chunk of the conversions of the element blocks over the
+    local dofs ``Gl`` (interval x local slot), or None for one chunk.
+
+    ``csr_sort_indices`` sorts each major's entries on its own with
+    ``std::sort``, which is not stable, so the order in which duplicates
+    meet follows from that major's minor sequence alone, and a chunk of
+    majors sorts as the whole pattern does.  scipy skips the sort when the
+    whole pattern is sorted already; every major's sequence runs through
+    some interval's row of ``Gl`` in order, so a row out of order makes the
+    whole pattern unsorted, and the sort then runs on every major.  Only
+    then is the pattern chunked."""
+    return _CHUNK_ENTRIES if np.any(Gl[:, 1:] < Gl[:, :-1]) else None
+
+
+def _hessian_entries(Gl, dim, step):
+    """The element Hessians' COO entries in the buckets of scipy's COO ->
+    CSC conversion, a chunk of columns at a time (see ``_SlotSums``).
+    Entry e = (b * mL + kl) * mL + jr lies in row ``Gl[b, kl]`` and
+    column ``Gl[b, jr]``."""
+    B, mL = Gl.shape
+    flat = Gl.ravel()
+    # each column's (b, jr), as b * mL + jr in ascending order
+    pairs = np.argsort(flat, kind="stable")
+    ptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=dim), out=ptr[1:])
+    kl = np.arange(mL) * mL
+    for c0, c1 in _chunks(ptr * mL, step):
+        f = pairs[ptr[c0] : ptr[c1]]
+        e = (f // mL * (mL * mL) + f % mL)[:, None] + kl
+        # ascending e within each column: by b, then kl, then jr
+        key = (flat[f] - c0).astype(np.int64)[:, None] * (B * mL * mL) + e
+        e = e.ravel()[np.argsort(key, axis=None)]
+        yield (np.arange(c0, c1, dtype=np.int32), np.diff(ptr[c0 : c1 + 1]) * mL,
+               e, flat[e // mL])
+
+
+def _jacobian_entries(Gl, rows_per_interval, step):
+    """The quadrature-Jacobian COO entries row by row (CSR), a chunk of rows
+    at a time (see ``_SlotSums``).  Entry e = i * mL + kl lies in row i
+    and column ``Gl[b, kl]``, with b = i // rows_per_interval."""
+    B, mL = Gl.shape
+    flat = Gl.ravel()
+    for i0, i1 in _chunks(np.arange(B * rows_per_interval + 1) * mL, step):
+        e = np.arange(i0 * mL, i1 * mL)
+        yield (np.arange(i0, i1, dtype=np.int32), np.full(i1 - i0, mL),
+               e, flat[e // mL // rows_per_interval * mL + e % mL])
+
+
+def _joined(pieces):
+    """The int32 concatenation of ``pieces``, which it empties."""
+    out = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int32)
+    pieces.clear()
+    return out.astype(np.int32, copy=False)
 
 
 class _SlotSums:
     """The entries of a fixed COO pattern that can be nonzero, in the order
-    in which scipy's conversion sums them into its slots.
+    in which scipy's COO -> CSR/CSC conversion sums them into its slots.
 
-    ``where(perm)`` gives each COO entry's position in a compact value
-    array, or -1 for an entry that is an exact zero: leaving it out
-    changes no bit of the sum it belongs to.  ``pos`` lists the compact
-    positions to sum, in order, and ``run`` the slot each is summed into;
-    the slots are ``(rows, cols)``.  With ``all_slots`` every slot of the
-    conversion is listed, summed into or not (it then holds 0.0), as scipy
-    stores it; otherwise only the slots that receive an entry.
+    ``chunks`` yields the pattern a run of majors at a time, in ascending
+    major order: the majors, their entry counts, and their entries' numbers
+    and minor indices, major by major in ascending entry number, as the
+    conversion buckets them stably by major.  scipy's in-line index sort
+    is run on each chunk's entry numbers to fix the order in which
+    duplicates meet (with ``force`` it runs even on a sorted chunk; see
+    ``_chunk_size``), and duplicates are then summed sequentially in that
+    order, as ``csr_sum_duplicates`` sums them.
+
+    ``where(e)`` gives each entry's position in a compact value array, or
+    -1 for an entry that is an exact zero: leaving it out changes no bit of
+    the sum it belongs to.  ``pos`` lists the compact positions to sum, in
+    order, and ``run`` the slot each is summed into; the slots are
+    ``(rows, cols)``.  With ``all_slots`` every slot of the conversion is
+    listed, summed into or not (it then holds 0.0), as scipy stores it;
+    otherwise only the slots that receive an entry.  All int32.
     """
 
-    def __init__(self, rows, cols, shape, fmt, where, all_slots):
-        perm, run, major, minor = _conversion_order(rows, cols, shape, fmt)
-        pos = where(perm)
-        kept = pos >= 0
-        self.pos, run = pos[kept].astype(np.int32), run[kept]
-        if not all_slots:
-            first = np.empty(len(run), dtype=bool)
-            first[:1] = True
-            np.not_equal(run[1:], run[:-1], out=first[1:])
-            major, minor = major[run[first]], minor[run[first]]
-            run = np.cumsum(first, dtype=np.int32) - 1
-        self.run = run
+    def __init__(self, chunks, shape, fmt, where, all_slots, force):
+        # chunk by chunk, so that no index array spans the whole pattern:
+        # plans are built inside a solve, where their transient memory is
+        # peak memory
+        n_minor = shape[0] if fmt == "csc" else shape[1]
+        pos, run, majors, minors = [], [], [], []
+        n_slots = 0
+        for major, counts, entries, minor in chunks:
+            indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+            np.cumsum(counts, out=indptr[1:])
+            tagged = scipy.sparse.csr_matrix(
+                (np.arange(len(minor), dtype=np.float64), minor, indptr),
+                shape=(len(counts), n_minor),
+            )
+            if force:
+                tagged.has_sorted_indices = False
+            tagged.sort_indices()
+            at = where(entries[tagged.data.astype(np.intp)])
+            minor, major = tagged.indices, np.repeat(major, counts)
+            del tagged, entries
+            kept = at >= 0
+            if not all_slots:
+                at, minor, major = at[kept], minor[kept], major[kept]
+            first = _starts(minor, major)
+            slot = np.cumsum(first, dtype=np.int32)
+            slot += n_slots - 1
+            n_slots += int(np.count_nonzero(first))
+            if all_slots:
+                at, slot = at[kept], slot[kept]
+            pos.append(at.astype(np.int32))
+            run.append(slot)
+            majors.append(major[first])
+            minors.append(minor[first])
+        self.pos, self.run = _joined(pos), _joined(run)
+        major, minor = _joined(majors), _joined(minors)
         self.rows, self.cols = (minor, major) if fmt == "csc" else (major, minor)
         self.shape = shape
 
@@ -226,8 +348,9 @@ def _hessian_sums(gidx, planes, reach, dim, batch_major):
         return np.where((p >= 0) & reach[e], at, -1)
 
     Gl = gidx.transpose(1, 0, 2).reshape(B, mL).astype(np.int32)
-    sums = _SlotSums(np.repeat(Gl, mL, axis=1).ravel(), np.tile(Gl, (1, mL)).ravel(),
-                     (dim, dim), "csc", where, all_slots=False)
+    step = _chunk_size(Gl)
+    sums = _SlotSums(_hessian_entries(Gl, dim, step), (dim, dim), "csc", where,
+                     all_slots=False, force=step is not None)
     sums.ks, sums.js, sums.plane = ks, js, plane
     return sums
 
@@ -251,24 +374,46 @@ def _jacobian_sums(gidx, n_quad, pairs, dim):
         return np.where(p >= 0, ((p * B + row // nc // n_quad) * n_quad
                                  + row // nc % n_quad) * L + kl % L, -1)
 
-    rows = np.repeat(np.arange(B * n_quad * nc, dtype=np.int32), m * L)
-    gT = gidx.transpose(1, 0, 2).astype(np.int32)  # (B, m, L)
-    cols = np.broadcast_to(gT[:, None, None, :, :], (B, n_quad, nc, m, L)).ravel()
-    sums = _SlotSums(rows, cols, (B * n_quad * nc, dim), "csr", where, all_slots=True)
+    Gl = gidx.transpose(1, 0, 2).reshape(B, m * L).astype(np.int32)
+    step = _chunk_size(Gl)
+    sums = _SlotSums(_jacobian_entries(Gl, n_quad * nc, step), (B * n_quad * nc, dim), "csr",
+                     where, all_slots=True, force=step is not None)
     sums.rs, sums.ks = rs, ks
     return sums
 
 
 def _union_pattern(n, parts):
-    """The union of fixed slot lists ``(rows, cols)`` of an n x n matrix in
-    canonical CSC order: its ``indices`` and ``indptr``, and where each
-    list's slots sit in it."""
-    key = np.concatenate([c.astype(np.int64) * n + r for r, c in parts])
-    uniq, inv = np.unique(key, return_inverse=True)
+    """The union of fixed slot lists ``(rows, cols)`` of an n x n matrix,
+    each free of repeats, in canonical CSC order: its ``indices`` and
+    ``indptr``, and where each list's slots sit in it.
+
+    Built a chunk of columns at a time; a list that is not in column order
+    is visited in its stable column order."""
+    ptrs, orders = [], []
+    for rows, cols in parts:
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=n), out=ptr[1:])
+        ptrs.append(ptr)
+        unordered = np.any(cols[1:] < cols[:-1])
+        orders.append(np.argsort(cols, kind="stable").astype(np.int32) if unordered else None)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
-    pos = np.split(inv.astype(np.int32), np.cumsum([len(r) for r, _ in parts])[:-1])
-    return (uniq % n).astype(np.int32), indptr, pos
+    pos = [np.empty(len(rows), dtype=np.int32) for rows, _ in parts]
+    indices = []
+    nnz = 0
+    for c0, c1 in _chunks(sum(ptrs), _CHUNK_ENTRIES):
+        at = [slice(p[c0], p[c1]) if o is None else o[p[c0] : p[c1]]
+              for p, o in zip(ptrs, orders)]
+        keys = [(cols[a] - c0).astype(np.int64) * n + rows[a]
+                for (rows, cols), a in zip(parts, at)]
+        uniq, inv = np.unique(np.concatenate(keys), return_inverse=True)
+        inv = inv.astype(np.int32) + nnz
+        for p, a, piece in zip(pos, at, np.split(inv, np.cumsum([len(k) for k in keys])[:-1])):
+            p[a] = piece
+        np.cumsum(np.bincount(uniq // n, minlength=c1 - c0), out=indptr[c0 + 1 : c1 + 1])
+        indptr[c0 + 1 : c1 + 1] += nnz
+        indices.append((uniq % n).astype(np.int32))
+        nnz += len(uniq)
+    return _joined(indices), indptr, pos
 
 
 def _drop(data, indices, indptr, drop):
@@ -385,7 +530,7 @@ class _SaddlePlan:
     def __init__(self, hess, jq, dim, b_dofs, jp_mask, E):
         n = dim
         jr, jc = [], []
-        n_j = n_jp = 0
+        n_j = n_jp = n_q = 0
         if jp_mask is not None:
             k, a = np.nonzero(jp_mask)
             jr.append(k)
@@ -395,34 +540,42 @@ class _SaddlePlan:
             jr.append(n_j + jq.rows)
             jc.append(jq.cols)
             n_j += jq.shape[0]
+            n_q = len(jq.rows)
+            del jq.rows, jq.cols
         self.E = E
         if E is not None:
             coo = E.tocoo()
             jr.append(n_j + coo.row)
             jc.append(coo.col)
             n_j += E.shape[0]
+        # J's slots, rows offset by n: (jr, jc) below the Hessian block and
+        # (jc, jr) to its right
         jr = np.concatenate(jr or [np.zeros(0)]).astype(np.int32)
+        jr += n
         jc = np.concatenate(jc or [np.zeros(0)]).astype(np.int32)
         diag = np.arange(n, dtype=np.int32)
         tail = np.arange(n, n + n_j, dtype=np.int32)
         self.n = n + n_j
         self.indices, self.indptr, (pos_h, self.diag, lo, up, self.pos_omega) = \
             _union_pattern(self.n, [(hess.rows, hess.cols), (diag, diag),
-                                    (n + jr, jc), (jc, n + jr), (tail, tail)])
-        # the Hessian entries and, twice, the Jq entries are summed straight
-        # into their slots; the slot lists are folded into the pattern and
-        # dropped, as the plan lives all solve
-        runs = [pos_h[hess.run]]
-        n_q = 0
-        if jq is not None:
-            runs += [lo[n_jp + jq.run], up[n_jp + jq.run]]
-            n_q = len(jq.rows)
-            del jq.rows, jq.cols, jq.run
+                                    (jr, jc), (jc, jr), (tail, tail)])
+        del jr, jc
+        # the Hessian entries are summed straight into their slots, and the
+        # Jq entries into one value per Jq slot that receives any, which
+        # then fills that slot below and right of the Hessian block; the
+        # slot lists are folded into the pattern and dropped, as the plan
+        # lives all solve
+        self.run = pos_h[hess.run]
         del hess.rows, hess.cols, hess.run
-        self.run = np.concatenate(runs)
+        if jq is not None:
+            first = _starts(jq.run)
+            slots = n_jp + jq.run[first]
+            self.pos_jq = np.stack([lo[slots], up[slots]])
+            jq.run = np.cumsum(first, dtype=np.int32) - 1
         self.hess, self.jq, self.jp_mask, self.dim = hess, jq, jp_mask, dim
-        self.pos_jp = np.concatenate([lo[:n_jp], up[:n_jp]])
-        self.pos_e = np.concatenate([lo[n_jp + n_q:], up[n_jp + n_q:]])
+        # JP's and E's slots, below and right of the Hessian block
+        self.pos_jp = np.stack([lo[:n_jp], up[:n_jp]])
+        self.pos_e = np.stack([lo[n_jp + n_q:], up[n_jp + n_q:]])
         # B's off-diagonal slots and JP's may hold a zero scipy drops
         optional = np.zeros(len(self.indices), dtype=bool)
         optional[pos_h] = True
@@ -431,14 +584,14 @@ class _SaddlePlan:
         self.optional = np.flatnonzero(optional).astype(np.int32)
 
     def system(self, Hc, jqv, jp, C, g_smooth, omega):
-        weights = [Hc.ravel()[self.hess.pos]]
+        data = _slot_values(self.run, Hc.ravel()[self.hess.pos], len(self.indices))
         if self.jq is not None:
-            weights += 2 * [jqv.ravel()[self.jq.pos]]
-        data = _slot_values(self.run, np.concatenate(weights), len(self.indices))
+            data[self.pos_jq] = _slot_values(self.jq.run, jqv.ravel()[self.jq.pos],
+                                             self.pos_jq.shape[1])
         if jp is not None:
-            data[self.pos_jp] = np.tile(jp[self.jp_mask], 2)
+            data[self.pos_jp] = jp[self.jp_mask]
         if self.E is not None:
-            data[self.pos_e] = np.tile(self.E.data, 2)
+            data[self.pos_e] = self.E.data
         data[self.pos_omega] = -omega
         drop = self.optional[data[self.optional] == 0]
         return _SaddleSystem(self, data, drop, C, g_smooth)
@@ -549,6 +702,7 @@ class _Engine:
             if not self._batched_kernel_is_einsum():
                 self._hessian_kernel = "einsum"
         self._batch_major = self._hessian_kernel == "batched"
+        self._curvature_batched = bool(self.problem.n_c) and self._curvature_kernel_is_einsum()
 
     def _batched_kernel_is_einsum(self):
         """Whether the batched kernel gives ``np.einsum``'s bits on one M
@@ -562,6 +716,39 @@ class _Engine:
         full = np.einsum(_ELEMENT_HESSIANS, self.A, M, self.A, optimize=True)
         return np.array_equal(self._element_hessians(M[ks, js], ks, js),
                               full.transpose(1, 3, 0, 2, 4)[ks, js])
+
+    def _curvature_kernel_is_einsum(self):
+        """Whether the batched exact-curvature kernel gives the bits of
+        ``np.einsum(_RESIDUAL_CURVATURE, ..., optimize=True)`` on the planes
+        it is given.
+
+        numpy contracts the residual axis first, by one ``matmul`` per node
+        of the (plane, residual) block with the residual values, and then
+        scales.  The kernel runs that matmul on a block of the listed planes
+        only, which is bit for bit only if a plane's product does not
+        depend on how many planes the block holds, as it does not in
+        ``matmul``'s own loop.  Checked on a small batch of values spread
+        over 16 orders of magnitude, on all m * m planes and on random
+        subsets of 1 to 8 and of half of them."""
+        nc, m, (B, Q) = self.problem.n_c, self.m, self.w.shape
+        path = np.einsum_path(_RESIDUAL_CURVATURE, np.broadcast_to(0.0, (nc, B, Q)),
+                              np.broadcast_to(0.0, (nc, m, m, B, Q)),
+                              np.broadcast_to(0.0, (B, Q)), optimize=True)[0]
+        if path[1:] != [(0, 1), (0, 1)]:
+            return False
+        shape = (min(B, 3), min(Q, 4))  # keeps numpy's handling of size-1 axes
+        rng = np.random.default_rng(0)
+
+        def wide(*s):
+            return rng.standard_normal(s) * 10.0 ** rng.uniform(-8.0, 8.0, s)
+
+        c, H, scale = wide(nc, *shape), wide(nc, m, m, *shape), wide(*shape)
+        full = np.einsum(_RESIDUAL_CURVATURE, c, H, scale, optimize=path)
+        for size in (*range(1, 9), m * m // 2, m * m):
+            ks, js = np.divmod(np.sort(rng.choice(m * m, min(size, m * m), replace=False)), m)
+            if not np.array_equal(_curvature_matmul(H[:, ks, js], c) * scale, full[ks, js]):
+                return False
+        return True
 
     def _cast(self, name: str, arr, dtype):
         """Dtype-cast view of a fixed array, cached per dtype."""
@@ -582,19 +769,22 @@ class _Engine:
         ny, nz = self.problem.n_y, self.problem.n_z
         return args[:ny], args[ny : 2 * ny], args[2 * ny : 2 * ny + nz]
 
-    def _call_fc(self, x, order: int):
+    def _call_fc(self, x, order: int, residual_curvature: bool = True):
         """Evaluate f and c at every node; order 0 plain, 1 with first
         derivatives, 2 with second derivatives as well, returned as the
-        outputs that hold them."""
+        outputs that hold them.  Without ``residual_curvature`` an order-2
+        call takes the residuals to first order only: their values and
+        gradients come from the same operations either way."""
         vals = self.arg_values(x)
         if order == 0:
-            args = [vals[k] for k in range(self.m)]
+            args = cargs = [vals[k] for k in range(self.m)]
         else:
-            args = ad.seed(vals, self.m, second_order=(order == 2))
-        ydot, y, z = self._split(args)
+            args = cargs = ad.seed(vals, self.m, second_order=(order == 2))
+            if order == 2 and not residual_curvature:
+                cargs = ad.seed(vals, self.m)
         shape = (self.n_batch, self.n_quad)
-        fout = self.problem.f(ydot, y, z, self.tq)
-        cout = self.problem.c(ydot, y, z, self.tq) if self.problem.n_c else []
+        fout = self.problem.f(*self._split(args), self.tq)
+        cout = self.problem.c(*self._split(cargs), self.tq) if self.problem.n_c else []
         if order == 0:
             fval = np.broadcast_to(np.asarray(ad.value(fout)), shape)
             cval = np.stack(
@@ -722,8 +912,16 @@ class _Engine:
         omega, tau = params.omega, params.tau
         dt = _work_dtype(params, self.extended)
         x = np.asarray(x, dtype=dt)
-        order = 2 if with_hessian else 1
-        vals, fval, fgrad, fout, cval, cgrad, cout = self._call_fc(x, order)
+        # exact penalty curvature is used once iterates are near feasible:
+        # without it the Newton model loses O(|C|/omega) curvature and
+        # weakly determined (singular-arc) directions destabilize; far from
+        # feasibility the same term makes the model indefinite, so the early
+        # stages stay Gauss-Newton
+        saddle = omega < _EXTENDED_OMEGA and self.extended
+        gauss_newton = bool(self.problem.n_c) and not saddle
+        exact = bool(self.problem.n_c) and (saddle or omega <= _CURVATURE_OMEGA)
+        vals, fval, fgrad, fout, cval, cgrad, cout = self._call_fc(
+            x, 2 if with_hessian else 1, residual_curvature=exact)
         self._check_finite(fval, "objective integrand")
         if cval.size:
             self._check_finite(cval, "DAE residual")
@@ -773,7 +971,6 @@ class _Engine:
 
         # the Hessian only steers Newton, so it is assembled in plain
         # double precision
-        saddle = omega < _EXTENDED_OMEGA and self.extended
         w64, A64 = self.w, self.A
         shape = (self.n_batch, self.n_quad)
         cgrad64 = np.asarray(cgrad, dtype=np.float64)
@@ -786,13 +983,6 @@ class _Engine:
             jp = np.zeros((bjac64.shape[0], len(self._b_dofs)))
             for s in range(self.n_slots):
                 jp += bjac64[:, s, None] * self._Pb_dense[s]
-        # exact penalty curvature is used once iterates are near feasible:
-        # without it the Newton model loses O(|C|/omega) curvature and
-        # weakly determined (singular-arc) directions destabilize; far from
-        # feasibility the same term makes the model indefinite, so the early
-        # stages stay Gauss-Newton
-        gauss_newton = cval.size and not saddle
-        exact = cval.size and (saddle or omega <= _CURVATURE_OMEGA)
         # element Hessians can be nonzero only on the planes where a tracked
         # Hessian entering M is nonzero, on the squared supports of the
         # residuals for the Gauss-Newton term, and on the barrier's diagonal
@@ -811,17 +1001,23 @@ class _Engine:
         plan = self._plan(saddle, (planes, pairs, None if jp is None else jp != 0.0))
         hess = plan.hess
         ks, js = hess.ks, hess.js
-        # M, the curvature weight of each plane: each term is formed over
-        # all m * m planes, as the reference sums form it, and sliced to the
-        # plan's planes
-        M = w64 * _hessians([fout], self.m, shape)[0][ks, js]
+        # M, the curvature weight of each of the plan's planes, term by term
+        # with the reference's arithmetic: the objective's Hessian is
+        # gathered on the planes, the Gauss-Newton term contracted over all
+        # m * m planes and sliced, and the exact term formed on the planes
+        # where a residual's Hessian is nonzero (elsewhere it adds zeros)
+        fhess = np.zeros((len(ks),) + shape)
+        p, lk, lj = _on_planes(fout, ks, js)
+        if len(p):
+            fhess[p] = fout.h[lk, lj]
+        M = w64 * fhess
         if gauss_newton:
             M = M + np.einsum("rkbq,rjbq,bq->kjbq", cgrad64, cgrad64, w64 / omega,
                               optimize=True)[ks, js]
         if exact:
-            M = M + np.einsum("rbq,rkjbq,bq->kjbq", np.asarray(cval, dtype=np.float64),
-                              _hessians(cout, self.m, shape), w64 / omega,
-                              optimize=True)[ks, js]
+            p, term = self._residual_curvature(np.asarray(cval, dtype=np.float64), cout,
+                                               ks, js, w64 / omega)
+            M[p] += term
         Hc = self._element_hessians(M, ks, js)
         if nz:
             zvals64 = np.asarray(vals[k0 : k0 + nz], dtype=np.float64)
@@ -856,6 +1052,28 @@ class _Engine:
             Cparts.append(np.asarray(rE, dtype=np.float64))
         C = np.concatenate(Cparts) if Cparts else np.zeros(0)
         return g, plan.system(Hc, jqv, jp, C, np.asarray(g_sm, dtype=np.float64), omega)
+
+    def _residual_curvature(self, cval, cout, ks, js, scale):
+        """``np.einsum(_RESIDUAL_CURVATURE, cval, H, scale, optimize=True)``
+        on the planes (ks, js), bit for bit, where H stacks the residuals'
+        Hessians: the planes p where some residual's tracked Hessian holds
+        a nonzero value, and the weights on them.  On the other planes the
+        weights are zeros, which change no entry of the Newton matrix.  The
+        batched kernel gathers the compact Hessians on those planes only,
+        into the (residual, plane) block numpy's path multiplies, and is
+        kept only if it matches ``np.einsum`` at construction; otherwise the
+        einsum itself runs over all m * m planes."""
+        if not self._curvature_batched:
+            full = np.einsum(_RESIDUAL_CURVATURE, cval, _hessians(cout, self.m, scale.shape),
+                             scale, optimize=True)
+            return np.arange(len(ks)), full[ks, js]
+        covered = [_on_planes(v, ks, js, nonzero=True) for v in cout]
+        p = np.unique(np.concatenate([q for q, _, _ in covered]))
+        block = np.zeros((len(cout), len(p)) + scale.shape)
+        for r, (v, (q, lk, lj)) in enumerate(zip(cout, covered)):
+            if len(q):
+                block[r, np.searchsorted(p, q)] = v.h[lk, lj]
+        return p, _curvature_matmul(block, cval) * scale
 
     def _plan(self, saddle, masks):
         """The fixed part of the Newton build of one form for the nonzero

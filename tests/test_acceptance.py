@@ -39,6 +39,8 @@ from pbfem.benchmarks import build, control_values
 from pbfem.collocation import CollocationScheme
 from pbfem.cli import RINGING_SAMPLES, RINGING_WINDOW
 
+pytestmark = pytest.mark.acceptance
+
 
 def check(num, ok, detail):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from pbfem import Trajectory
+from pbfem import Trajectory, cli
+from pbfem.benchmarks import build
 from pbfem.cli import RunConfig, main
+from pbfem.errors import BarrierDomainError
 
 
 FAST = ["--problem", "vanderpol", "--method", "pbf", "--elements", "4",
@@ -76,6 +79,39 @@ class TestSolveArtifacts:
         out = tmp_path / "nested"
         assert main(["solve", *FAST, "--output-dir", str(out)]) == 0
         assert (out / "vanderpol_pbf_report.json").exists()
+
+
+class TestSolveFailure:
+    def _assert_failed(self, capsys, tmp_path, message):
+        assert main(["solve", *FAST, "--output-dir", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == f"vanderpol pbf: failed ({message})\n" and err == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_non_finite_problem_output(self, tmp_path, monkeypatch, capsys):
+        spec = build("vanderpol")
+        f = spec.problem.f
+        poisoned = dataclasses.replace(
+            spec, problem=dataclasses.replace(spec.problem, f=lambda *a: f(*a) * np.nan))
+        monkeypatch.setattr(cli, "build", lambda name: poisoned)
+        self._assert_failed(capsys, tmp_path, "non-finite objective integrand at t = "
+                            f"{float(np.min(self._nodes(poisoned))):.6g}")
+
+    @staticmethod
+    def _nodes(spec):
+        nlp = cli.TranscribedNLP(spec.problem, cli.FESpace(
+            cli.uniform_mesh(spec.problem.t0, spec.problem.tE, 4), 2,
+            spec.problem.n_y, spec.problem.n_z))
+        return nlp.engine.tq
+
+    @pytest.mark.parametrize("error", [BarrierDomainError(0, 1.5, -0.25),
+                                       RuntimeError("Factor is exactly singular")])
+    def test_solver_errors(self, tmp_path, monkeypatch, capsys, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "solve", failing)
+        self._assert_failed(capsys, tmp_path, str(error))
 
 
 class TestStudy:

@@ -11,6 +11,7 @@ pass, must equal the sum of its separately evaluated pieces.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import dense_ad
+import reference_plans
 from pbfem import ad, transcription
 from pbfem.benchmarks import build
 from pbfem.collocation import CollocationScheme, transcribe_collocation
@@ -392,6 +394,217 @@ def test_plan_grows_with_the_objective_support(monkeypatch):
     # left out at first, the term widens the objective's tracked support
     _assert_plan_grows(monkeypatch,
                        lambda scale, ydot, y: scale * (ydot[0] * y[0]) if scale else 0.0)
+
+
+@pytest.mark.parametrize("omega", [1e-3, 1e-6])
+@pytest.mark.parametrize("method", ["pbf", "lgr"])
+def test_newton_build_with_a_point_time_inside_an_element(monkeypatch, method, omega):
+    # the second point constraint of pendulum-a moved from t = 3 to t = 1.3,
+    # inside the second of three elements: its boundary rows read that
+    # element's interior coefficients
+    problem = dataclasses.replace(build("pendulum-a").problem, point_times=(0.0, 1.3))
+    nlp, x = _nlp_and_point(None, method, 3, omega, problem=problem)
+    g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
+    _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_plan_equals_reference(engine, saddle):
+    """Every integer array of the engine's plan equals the one the
+    whole-pattern builder makes for the same masks."""
+    plan = engine._plans[saddle]
+    planes, pairs, jp_mask = plan.masks
+    hess = reference_plans.hessian_sums(engine.gidx, planes, transcription._reach(engine.A),
+                                        engine.dim, engine._batch_major)
+    b_dofs = engine._b_dofs if jp_mask is not None else None
+    assert _same(plan.hess.pos, hess.pos)
+    if not saddle:
+        ref = reference_plans.shifted_plan(hess, engine.dim, b_dofs, jp_mask, engine.E)
+        assert len(plan.pos_extra) == len(ref["pos_extra"])
+        assert all(_same(a, b) for a, b in zip(plan.pos_extra, ref["pos_extra"]))
+        assert _same(plan.run, ref["run"])
+    else:
+        jq = None
+        if pairs is not None:
+            jq = reference_plans.jacobian_sums(engine.gidx, engine.n_quad, pairs, engine.dim)
+        ref = reference_plans.saddle_plan(hess, jq, engine.dim, b_dofs, jp_mask, engine.E)
+        # the Hessian entries' slots, then the Jq entries' slots below and
+        # right of the Hessian block
+        n_h = len(plan.run)
+        assert _same(plan.run, ref["run"][:n_h])
+        if jq is None:
+            assert plan.jq is None and n_h == len(ref["run"])
+        else:
+            assert _same(plan.jq.pos, ref["jq_pos"])
+            assert _same(plan.pos_jq[:, plan.jq.run].ravel(), ref["run"][n_h:])
+        for name in ("pos_jp", "pos_e"):
+            assert _same(getattr(plan, name).ravel(), ref[name])
+        for name in ("pos_omega", "optional"):
+            assert _same(getattr(plan, name), ref[name])
+    for name in ("indices", "indptr", "diag"):
+        assert _same(getattr(plan, name), ref[name])
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("omega", [1e-3, 1e-6])
+@pytest.mark.parametrize("name,method,n,planewise",
+                         CASES + [("pendulum-a", "pbf", 40, True)])  # the benchmark FE mesh
+def test_plans_equal_whole_pattern_reference(monkeypatch, name, method, n, planewise, omega,
+                                             chunk):
+    # chunk 64 cuts every pattern into many chunks, some a single column
+    # holding more entries than a chunk
+    if chunk is not None:
+        monkeypatch.setattr(transcription, "_CHUNK_ENTRIES", chunk)
+    nlp, x = _nlp_and_point(name, method, n, omega)
+    nlp.newton_system(x)
+    for saddle in nlp.engine._plans:
+        _assert_plan_equals_reference(nlp.engine, saddle)
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("layout", ["shared", "sorted"])
+def test_slot_sums_equal_whole_pattern_reference(monkeypatch, layout, chunk):
+    # random dof maps: "shared" has intervals share dofs and rows repeat
+    # dofs out of order, as the ydot and y rows do; in "sorted" every
+    # interval's local dofs ascend, so scipy's index sort may be skipped
+    # and the pattern is converted in one chunk
+    if chunk is not None:
+        monkeypatch.setattr(transcription, "_CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        m, B, L, Q, nc = 3, 4, 3, 2, 2
+        if layout == "shared":
+            gidx = rng.integers(0, 12, (m, B, L))
+        else:
+            gidx = np.sort(rng.integers(0, 30, (B, m * L)), axis=1).reshape(B, m, L)
+            gidx = gidx.transpose(1, 0, 2)
+        dim = int(gidx.max()) + 1
+        planes = rng.random((m, m)) < 0.6
+        reach = rng.random(B * (m * L) ** 2) < 0.8
+        for batch_major in (False, True):
+            new = transcription._hessian_sums(gidx, planes, reach, dim, batch_major)
+            ref = reference_plans.hessian_sums(gidx, planes, reach, dim, batch_major)
+            for name in ("pos", "run", "rows", "cols"):
+                assert _same(getattr(new, name), getattr(ref, name))
+        pairs = rng.random((nc, m)) < 0.6
+        new = transcription._jacobian_sums(gidx, Q, pairs, dim)
+        ref = reference_plans.jacobian_sums(gidx, Q, pairs, dim)
+        for name in ("pos", "run", "rows", "cols"):
+            assert _same(getattr(new, name), getattr(ref, name))
+        parts = [(new.rows, new.cols), (ref.cols[::-1].copy(), ref.rows[::-1].copy())]
+        n = max(dim, B * Q * nc)
+        new_u, ref_u = transcription._union_pattern(n, parts), reference_plans.union_pattern(n, parts)
+        assert _same(new_u[0], ref_u[0]) and _same(new_u[1], ref_u[1])
+        assert all(_same(a, b) for a, b in zip(new_u[2], ref_u[2]))
+
+
+# tracemalloc peaks of the whole-pattern plan builds (tests/reference_plans.py)
+# inside a pendulum-a FE solve at 40 elements, measured on NumPy 2.4 and
+# SciPy 1.17
+_WHOLE_PATTERN_PEAK_MIB = {False: 9.0, True: 15.7}
+
+
+@pytest.mark.parametrize("saddle", [False, True])
+def test_plan_build_takes_half_the_memory_of_the_whole_pattern(saddle):
+    nlp, x = _nlp_and_point("pendulum-a", "pbf", 40, 1e-6 if saddle else 1e-3)
+    engine = nlp.engine
+    nlp.newton_system(x)
+    masks = engine._plans.pop(saddle).masks
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine._plan(saddle, masks)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * _WHOLE_PATTERN_PEAK_MIB[saddle] * 2**20
+
+
+@pytest.mark.parametrize("method,n", [("pbf", 40), ("lgr", 30)])
+def test_exact_curvature_allocates_no_dense_residual_hessians(monkeypatch, method, n):
+    # the exact-curvature weights were the one part of the Newton build
+    # that stacked every residual's Hessian over all planes, an (n_c, m, m,
+    # B, Q) array (and einsum copied it once more); forming them now peaks
+    # well below the size of one such array, on the benchmark meshes
+    nlp, x = _nlp_and_point("pendulum-a", method, n, 1e-6)
+    engine = nlp.engine
+    assert engine._curvature_batched
+    curvature, peaks = engine._residual_curvature, []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = curvature(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    monkeypatch.setattr(engine, "_residual_curvature", traced)
+    tracemalloc.start()
+    try:
+        g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
+    finally:
+        tracemalloc.stop()
+    dense = 8 * engine.problem.n_c * engine.m ** 2 * engine.n_batch * engine.n_quad
+    assert len(peaks) == 1 and peaks[0] < dense / 2
+    _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
+
+
+@pytest.mark.parametrize("method,n", [("pbf", 40), ("lgr", 30), ("pbf", 3), ("lgr", 1)])
+def test_curvature_kernel_equals_einsum(method, n):
+    # random residual Hessians and values spanning 16 orders of magnitude
+    # on random plane subsets (the empty one included): the kernel's planes
+    # equal those of numpy's contraction over all m * m planes
+    nlp = _make_nlp(build("pendulum-a").problem, method, n, 1e-6)
+    engine = nlp.engine
+    assert engine._curvature_batched
+    nc, m, shape = engine.problem.n_c, engine.m, (engine.n_batch, engine.n_quad)
+    rng = np.random.default_rng(2025)
+
+    def wide(*s):
+        return rng.standard_normal(s) * 10.0 ** rng.uniform(-8.0, 8.0, s)
+
+    for _ in range(5):
+        c, H, scale = wide(nc, *shape), wide(nc, m, m, *shape), wide(*shape)
+        full = np.einsum(transcription._RESIDUAL_CURVATURE, c, H, scale, optimize=True)
+        for trial in range(10):
+            planes = rng.random((m, m)) < (0.0 if trial == 0 else rng.uniform(0.01, 1.0))
+            ks, js = np.nonzero(planes)
+            term = transcription._curvature_matmul(H[:, ks, js], c) * scale
+            assert np.array_equal(term, full[ks, js])
+
+
+@pytest.mark.parametrize("method", ["pbf", "lgr"])
+def test_curvature_kernel_that_differs_from_einsum_is_not_used(monkeypatch, method):
+    # a kernel one ulp off numpy's einsum is found at construction: the
+    # einsum itself then runs, and the Newton build stays bit for bit
+    matmul = transcription._curvature_matmul
+    monkeypatch.setattr(transcription, "_curvature_matmul",
+                        lambda block, cval: np.nextafter(matmul(block, cval), np.inf))
+    nlp, x = _nlp_and_point("pendulum-a", method, 3, 1e-6)
+    assert not nlp.engine._curvature_batched
+    g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
+    _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
+
+
+@pytest.mark.parametrize("omega,exact", [(1e-3, False), (1e-5, True), (1e-6, True)])
+@pytest.mark.parametrize("method", ["pbf", "lgr"])
+def test_residuals_carry_second_derivatives_only_for_exact_curvature(method, omega, exact):
+    # Gauss-Newton stages need only the residuals' gradients
+    problem = build("pendulum-a").problem
+    c, second = problem.c, []
+
+    def spy(ydot, y, z, t):
+        second.append(all(v.h is not None for v in (*ydot, *y, *z)))
+        return c(ydot, y, z, t)
+
+    problem = dataclasses.replace(problem, c=spy)
+    nlp, x = _nlp_and_point(None, method, 3, omega, problem=problem)
+    second.clear()
+    nlp.newton_system(x)
+    assert second == [exact]
 
 
 def _row_by_row(engine, x):

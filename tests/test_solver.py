@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from pbfem import (
     uniform_mesh,
 )
 from pbfem.benchmarks import build
+from pbfem.errors import EvaluationError
 from pbfem.solver import _stage_schedule
 
 
@@ -158,3 +161,26 @@ class TestContinuation:
         assert stages == schedule
         assert [(s["omega"], s["tau"]) for s in rep.stages] == schedule
         assert nlp.params == PenaltyBarrierParams(*schedule[-1])
+
+
+class TestNonFiniteOutput:
+    def test_first_merit_raises_naming_the_node(self):
+        # an objective that is NaN from t = 0.6 on: the solve stops at its
+        # first merit evaluation, naming the first quadrature node past 0.6
+        prob = trivial_problem()
+        f = prob.f
+        prob = dataclasses.replace(
+            prob, f=lambda yd, y, z, t: f(yd, y, z, t) + np.where(t > 0.6, np.nan, 0.0))
+        space = FESpace(uniform_mesh(0.0, 1.0, 3), 2, 1, 1)
+        nlp = TranscribedNLP(prob, space)
+        merits = []
+        merit = nlp.merit
+        nlp.merit = lambda x: merits.append(x) or merit(x)
+        nlp.newton_system = lambda x: pytest.fail("no Newton system after a failed merit")
+        with pytest.raises(EvaluationError) as info:
+            solve(nlp, initial_guess(prob, space))
+        tq = nlp.engine.tq
+        node = tq[tq > 0.6].min()
+        assert len(merits) == 1
+        assert info.value.node == node
+        assert str(info.value) == f"non-finite objective integrand at t = {node:.6g}"
