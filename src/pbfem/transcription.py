@@ -202,12 +202,13 @@ def _chunk_size(Gl):
     ``csr_sort_indices`` sorts each major's entries on its own with
     ``std::sort``, which is not stable, so the order in which duplicates
     meet follows from that major's minor sequence alone, and a chunk of
-    majors sorts as the whole pattern does.  scipy skips the sort when the
-    whole pattern is sorted already; every major's sequence runs through
-    some interval's row of ``Gl`` in order, so a row out of order makes the
-    whole pattern unsorted, and the sort then runs on every major.  Only
-    then is the pattern chunked."""
-    return _CHUNK_ENTRIES if np.any(Gl[:, 1:] < Gl[:, :-1]) else None
+    majors sorts as the whole pattern does -- provided that scipy runs the
+    sort on both, which it skips on a pattern already sorted.  Every
+    major's sequence runs through some interval's row of ``Gl`` in order,
+    so when every row is out of order (as the shared dofs of the ydot and
+    y rows make it) every major is unsorted and the sort always runs.
+    Only then is the pattern chunked."""
+    return _CHUNK_ENTRIES if np.all(np.any(Gl[:, 1:] < Gl[:, :-1], axis=1)) else None
 
 
 def _hessian_entries(Gl, dim, step):
@@ -260,9 +261,8 @@ class _SlotSums:
     and minor indices, major by major in ascending entry number, as the
     conversion buckets them stably by major.  scipy's in-line index sort
     is run on each chunk's entry numbers to fix the order in which
-    duplicates meet (with ``force`` it runs even on a sorted chunk; see
-    ``_chunk_size``), and duplicates are then summed sequentially in that
-    order, as ``csr_sum_duplicates`` sums them.
+    duplicates meet (see ``_chunk_size``), and duplicates are then summed
+    sequentially in that order, as ``csr_sum_duplicates`` sums them.
 
     ``where(e)`` gives each entry's position in a compact value array, or
     -1 for an entry that is an exact zero: leaving it out changes no bit of
@@ -273,7 +273,7 @@ class _SlotSums:
     otherwise only the slots that receive an entry.  All int32.
     """
 
-    def __init__(self, chunks, shape, fmt, where, all_slots, force):
+    def __init__(self, chunks, shape, fmt, where, all_slots):
         # chunk by chunk, so that no index array spans the whole pattern:
         # plans are built inside a solve, where their transient memory is
         # peak memory
@@ -287,8 +287,6 @@ class _SlotSums:
                 (np.arange(len(minor), dtype=np.float64), minor, indptr),
                 shape=(len(counts), n_minor),
             )
-            if force:
-                tagged.has_sorted_indices = False
             tagged.sort_indices()
             at = where(entries[tagged.data.astype(np.intp)])
             minor, major = tagged.indices, np.repeat(major, counts)
@@ -348,9 +346,8 @@ def _hessian_sums(gidx, planes, reach, dim, batch_major):
         return np.where((p >= 0) & reach[e], at, -1)
 
     Gl = gidx.transpose(1, 0, 2).reshape(B, mL).astype(np.int32)
-    step = _chunk_size(Gl)
-    sums = _SlotSums(_hessian_entries(Gl, dim, step), (dim, dim), "csc", where,
-                     all_slots=False, force=step is not None)
+    sums = _SlotSums(_hessian_entries(Gl, dim, _chunk_size(Gl)), (dim, dim), "csc", where,
+                     all_slots=False)
     sums.ks, sums.js, sums.plane = ks, js, plane
     return sums
 
@@ -375,9 +372,8 @@ def _jacobian_sums(gidx, n_quad, pairs, dim):
                                  + row // nc % n_quad) * L + kl % L, -1)
 
     Gl = gidx.transpose(1, 0, 2).reshape(B, m * L).astype(np.int32)
-    step = _chunk_size(Gl)
-    sums = _SlotSums(_jacobian_entries(Gl, n_quad * nc, step), (B * n_quad * nc, dim), "csr",
-                     where, all_slots=True, force=step is not None)
+    sums = _SlotSums(_jacobian_entries(Gl, n_quad * nc, _chunk_size(Gl)),
+                     (B * n_quad * nc, dim), "csr", where, all_slots=True)
     sums.rs, sums.ks = rs, ks
     return sums
 

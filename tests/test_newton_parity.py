@@ -465,12 +465,15 @@ def test_plans_equal_whole_pattern_reference(monkeypatch, name, method, n, plane
 
 
 @pytest.mark.parametrize("chunk", [None, 64])
-@pytest.mark.parametrize("layout", ["shared", "sorted"])
+@pytest.mark.parametrize("layout", ["shared", "sorted", "mixed"])
 def test_slot_sums_equal_whole_pattern_reference(monkeypatch, layout, chunk):
     # random dof maps: "shared" has intervals share dofs and rows repeat
-    # dofs out of order, as the ydot and y rows do; in "sorted" every
-    # interval's local dofs ascend, so scipy's index sort may be skipped
-    # and the pattern is converted in one chunk
+    # dofs out of order, as the ydot and y rows do.  In "sorted" and
+    # "mixed" interval b holds dofs 4b to 4b + 3, each several times;
+    # "sorted" has every interval's local dofs ascend, so scipy skips its
+    # index sort, and "mixed" half of them, so that the columns of those
+    # intervals are sorted, and std::sort, which scipy then runs on them
+    # too, may reorder their repeated rows: both are converted in one chunk
     if chunk is not None:
         monkeypatch.setattr(transcription, "_CHUNK_ENTRIES", chunk)
     rng = np.random.default_rng(17)
@@ -479,8 +482,9 @@ def test_slot_sums_equal_whole_pattern_reference(monkeypatch, layout, chunk):
         if layout == "shared":
             gidx = rng.integers(0, 12, (m, B, L))
         else:
-            gidx = np.sort(rng.integers(0, 30, (B, m * L)), axis=1).reshape(B, m, L)
-            gidx = gidx.transpose(1, 0, 2)
+            Gl = 4 * np.arange(B)[:, None] + rng.integers(0, 4, (B, m * L))
+            Gl[: B if layout == "sorted" else B // 2].sort(axis=1)
+            gidx = Gl.reshape(B, m, L).transpose(1, 0, 2)
         dim = int(gidx.max()) + 1
         planes = rng.random((m, m)) < 0.6
         reach = rng.random(B * (m * L) ** 2) < 0.8
