@@ -1,9 +1,10 @@
-"""Check that two `pbfem solve` output directories hold the same results.
+"""Check that two `pbfem` output directories hold the same results.
 
     python3 scripts/compare_solves.py DIR_A DIR_B
 
-Every ``*_trajectory.json`` and ``*_samples.csv`` must be byte-identical,
-and every ``*_report.json`` must be equal once ``wall_time_s`` is removed.
+Every ``*_trajectory.json``, ``*_samples.csv`` and, from `compare` and
+`study`, ``*_controls.csv`` and ``*_plot.dat`` must be byte-identical, and
+every ``*_report.json`` must be equal once ``wall_time_s`` is removed.
 Both directories must hold the same set of such files.  Exit code 0 when
 they agree, 1 (with one line per difference) when they do not.
 """
@@ -14,7 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-SUFFIXES = ("_trajectory.json", "_samples.csv", "_report.json")
+SUFFIXES = ("_trajectory.json", "_samples.csv", "_report.json", "_controls.csv",
+            "_plot.dat")
 
 
 def _artifacts(root: Path) -> set:

@@ -1,9 +1,11 @@
 """Generate fine-mesh self-converged reference solutions for the built-in
 benchmark problems and store them as package data.
 
-Each reference is a 400-element p=5 solve driven to omega = tau = 1e-12,
-written to src/pbfem/refdata/<name>.json together with its objective value
-and provenance fields.  Rerun with --problems to refresh a subset.
+Each reference is a p=5 PBF solve driven to omega = tau = 1e-12 by
+``pbfem.cli.solve_benchmark`` on the last mesh of the problem's plan
+(400 elements unless MESH_PLANS says otherwise), written to
+src/pbfem/refdata/<name>.json together with its objective value and
+provenance fields.  Rerun with --problems to refresh a subset.
 """
 
 from __future__ import annotations
@@ -13,55 +15,26 @@ import datetime
 import json
 from pathlib import Path
 
-from pbfem import (
-    FESpace,
-    SolverConfig,
-    TranscribedNLP,
-    best_approximation,
-    initial_guess,
-    solve,
-    uniform_mesh,
-)
 from pbfem.benchmarks import build, registered_names
+from pbfem.cli import RunConfig, solve_benchmark
 
 REFDATA = Path(__file__).resolve().parent.parent / "src" / "pbfem" / "refdata"
 
-# meshes solved first as warm starts: on the index-3 pendulum a cold start
-# on a fine mesh leaves the first continuation stage unconverged and the
-# later stages then descend into a spurious local minimum
-SEQUENCES = {"pendulum-c": (40,)}
+# element counts solved in turn, each solution warm-starting the next mesh:
+# on the index-3 pendulum a cold start on a fine mesh leaves the first
+# continuation stage unconverged and the later stages then descend into a
+# spurious local minimum
+MESH_PLANS = {"pendulum-c": (40, 80)}
 
 
-def _solve_on(problem, n_elements, p, config, init):
-    mesh = uniform_mesh(problem.t0, problem.tE, n_elements)
-    space = FESpace(mesh, p, problem.n_y, problem.n_z)
-    if init is None:
-        strategy = "linear-boundary" if "boundary_end" in problem.metadata else "constant"
-        init = initial_guess(problem, space, strategy)
-    else:
-        # warm start: L2-project the coarser solution onto the finer space
-        init = best_approximation(
-            space, [lambda t, j=j: init.component(j, t)
-                    for j in range(problem.n_y + problem.n_z)])
-    return solve(TranscribedNLP(problem, space), init, config)
+def mesh_plan(name: str) -> tuple[int, ...]:
+    return MESH_PLANS.get(name, (400,))
 
 
-def make_reference(name: str, n_elements: int, p: int, target: float,
-                   sequence: tuple[int, ...] = ()) -> dict:
-    spec = build(name)
-    problem = spec.problem
-    hints = dict(problem.metadata.get("solver_hints", ()))
-    warm = None
-    for n_coarse in sequence:
-        config = SolverConfig(omega_target=target, tau_target=target, **hints)
-        rep = _solve_on(problem, n_coarse, p, config, warm)
-        print(f"{name}: sequence n={n_coarse} status={rep.status} "
-              f"F_h={rep.F_h:.12f} r_feas={rep.r_feas:.3e}")
-        # after the first mesh, resume the continuation near its tail
-        hints = {"continuation_start": 1e-4, "max_iters": 600}
-        warm = rep.trajectory
-    config = SolverConfig(omega_target=target, tau_target=target, **hints)
-    report = _solve_on(problem, n_elements, p, config, warm)
+def make_reference(name: str, p: int, target: float) -> dict:
+    *sequence, n_elements = mesh_plan(name)
+    config = RunConfig(name, "pbf", n_elements, p, omega=target, tau=target)
+    report = solve_benchmark(config, build(name), sequence=sequence)
     if not report.success:
         raise RuntimeError(f"{name}: reference solve failed ({report.status})")
     print(f"{name}: status={report.status} F_h={report.F_h:.12f} "
@@ -76,7 +49,7 @@ def make_reference(name: str, n_elements: int, p: int, target: float,
             "p": p,
             "omega": target,
             "tau": target,
-            "mesh_sequence": list(sequence),
+            "mesh_sequence": sequence,
             "solver_status": report.status,
             "generated": datetime.date.today().isoformat(),
             "generator": "scripts/make_references.py",
@@ -87,14 +60,12 @@ def make_reference(name: str, n_elements: int, p: int, target: float,
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--problems", nargs="+", default=registered_names())
-    parser.add_argument("--elements", type=int, default=400)
     parser.add_argument("--p", type=int, default=5)
     parser.add_argument("--omega", type=float, default=1e-12)
     args = parser.parse_args()
     REFDATA.mkdir(exist_ok=True)
     for name in args.problems:
-        doc = make_reference(name, args.elements, args.p, args.omega,
-                             SEQUENCES.get(name, ()))
+        doc = make_reference(name, args.p, args.omega)
         path = REFDATA / f"{name}.json"
         path.write_text(json.dumps(doc))
         print(f"wrote {path}")

@@ -28,11 +28,12 @@ from .analysis import ConvergenceStudy, StudyRow, control_error
 from .benchmarks import build, control_values, registered_names
 from .collocation import CollocationScheme, detect_ringing, transcribe_collocation
 from .errors import BarrierDomainError, EvaluationError, InputError
-from .mesh import FESpace, uniform_mesh
+from .mesh import FESpace, best_approximation, uniform_mesh
 from .solver import SolverConfig, initial_guess, solve
 from .transcription import TranscribedNLP
 
-__all__ = ["RunConfig", "main", "cmd_solve", "cmd_study", "cmd_compare"]
+__all__ = ["RunConfig", "solve_benchmark", "main", "cmd_solve", "cmd_study",
+           "cmd_compare"]
 
 METHODS = ("pbf", "tr", "hs", "lgr")
 
@@ -118,18 +119,40 @@ def _output_dir(config_dir: str) -> Path:
     return out
 
 
-def _run_one(spec, method: str, n_elements: int, p: int, solver_cfg: SolverConfig):
+def solve_benchmark(config: RunConfig, spec, mesh=None, sequence=()):
+    """Solve ``spec``'s problem as ``config`` says, on ``mesh`` or else on
+    ``config.n_elements`` uniform elements.
+
+    The uniform meshes of the element counts in ``sequence`` are solved
+    first, the first from the strictly interior guess; every later mesh
+    starts from the L2 projection of the previous solution, with the
+    continuation resumed near its tail.  On the index-3 pendulum a cold
+    fine-mesh start leaves the first stage unconverged and the cascade then
+    descends into a spurious local minimum.
+    """
     problem = spec.problem
-    mesh = uniform_mesh(problem.t0, problem.tE, n_elements)
-    space = FESpace(mesh, p, problem.n_y, problem.n_z)
-    if method == "pbf":
-        nlp = TranscribedNLP(problem, space)
-    else:
-        nlp = transcribe_collocation(problem, mesh, CollocationScheme(method, p))
-    strategy = "linear-boundary" if "boundary_end" in problem.metadata else "constant"
-    guess = initial_guess(problem, space, strategy)
-    return solve(nlp, guess, solver_cfg,
-                 reference_objective=spec.reference_objective)
+    cfg = config.solver_config(spec.metadata)
+    meshes = [uniform_mesh(problem.t0, problem.tE, n) for n in sequence]
+    meshes.append(mesh if mesh is not None
+                  else uniform_mesh(problem.t0, problem.tE, config.n_elements))
+    report = None
+    for mesh in meshes:
+        space = FESpace(mesh, config.p, problem.n_y, problem.n_z)
+        if config.method == "pbf":
+            nlp = TranscribedNLP(problem, space)
+        else:
+            nlp = transcribe_collocation(problem, mesh,
+                                         CollocationScheme(config.method, config.p))
+        if report is None:
+            start = initial_guess(problem, space)
+        else:
+            warm = report.trajectory
+            start = best_approximation(
+                space, [lambda t, j=j: warm.component(j, t)
+                        for j in range(problem.n_y + problem.n_z)])
+            cfg = dataclasses.replace(cfg, continuation_start=1e-4, max_iters=600)
+        report = solve(nlp, start, cfg, reference_objective=spec.reference_objective)
+    return report
 
 
 def _ringing_report(spec, trajectory) -> dict | None:
@@ -170,8 +193,7 @@ def cmd_solve(config: RunConfig) -> int:
     spec = build(config.problem)
     out = _output_dir(config.output_dir)
     try:
-        report = _run_one(spec, config.method, config.n_elements, config.p,
-                          config.solver_config(spec.metadata))
+        report = solve_benchmark(config, spec)
     except (EvaluationError, BarrierDomainError, RuntimeError) as exc:
         print(f"{config.problem} {config.method}: failed ({exc})")
         return 1
@@ -219,8 +241,7 @@ def cmd_study(config: RunConfig, element_counts) -> int:
     worst = 0
     for n in counts:
         try:
-            report = _run_one(spec, config.method, n, config.p,
-                              config.solver_config(spec.metadata))
+            report = solve_benchmark(dataclasses.replace(config, n_elements=n), spec)
         except (EvaluationError, BarrierDomainError, RuntimeError) as exc:
             print(f"n={n}: failed ({exc})")
             worst = max(worst, 1)
@@ -248,12 +269,10 @@ def cmd_study(config: RunConfig, element_counts) -> int:
     return worst
 
 
-def cmd_compare(config: RunConfig, methods, element_counts=None) -> int:
+def cmd_compare(config: RunConfig, methods) -> int:
     if len(methods) < 2:
         raise InputError("compare needs at least two methods")
-    for m in methods:
-        if m not in METHODS:
-            raise InputError(f"method must be one of {', '.join(METHODS)}")
+    runs = [dataclasses.replace(config, method=m) for m in methods]
     spec = build(config.problem)
     out = _output_dir(config.output_dir)
     window = spec.metadata.get("singular_window",
@@ -262,9 +281,12 @@ def cmd_compare(config: RunConfig, methods, element_counts=None) -> int:
     cols = {"t": t}
     scores = {}
     worst = 0
-    for method in methods:
-        report = _run_one(spec, method, config.n_elements, config.p,
-                          config.solver_config(spec.metadata))
+    for method, run in zip(methods, runs):
+        try:
+            report = solve_benchmark(run, spec)
+        except (EvaluationError, BarrierDomainError, RuntimeError) as exc:
+            print(f"{method}: failed ({exc})")
+            return 1
         u = control_values(spec.problem, report.trajectory, t)
         cols[method] = u
         scores[method] = detect_ringing(u, window=RINGING_WINDOW)

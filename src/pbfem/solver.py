@@ -9,7 +9,6 @@ of steps that leave the barrier domain.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 
@@ -22,11 +21,16 @@ from .transcription import PenaltyBarrierParams
 
 __all__ = ["SolverConfig", "SolveReport", "solve", "initial_guess"]
 
-log = logging.getLogger(__name__)
-
 # Lipschitz-style constants used only to size interior-push thresholds
 L_F_DEFAULT = 2.0
 L_R_DEFAULT = 2.0
+
+# ratio between consecutive continuation stages' omega
+CONTINUATION_FACTOR = 10.0
+# share of the distance to the barrier's boundary a Newton step may cover
+FRACTION_TO_BOUNDARY = 0.995
+# smallest Levenberg shift tried, relative to the Newton matrix's diagonal
+REGULARIZATION_FLOOR = 1e-12
 
 # iterations without a 10% gradient-norm improvement before an
 # extended-precision stage is declared stalled
@@ -38,23 +42,15 @@ class SolverConfig:
     omega_target: float = 1e-10
     tau_target: float = 1e-10
     continuation_start: float = 1e-2
-    continuation_factor: float = 10.0
     grad_tol: float = 1e-8
     max_iters: int = 200
-    fraction_to_boundary: float = 0.995
-    regularization_floor: float = 1e-12
-    verbose: bool = False
 
     def __post_init__(self):
         if min(self.omega_target, self.tau_target, self.continuation_start,
-               self.grad_tol, self.regularization_floor) <= 0.0:
+               self.grad_tol) <= 0.0:
             raise InputError("solver parameters must be positive")
         if self.tau_target > self.omega_target:
             raise InputError("tau_target must not exceed omega_target")
-        if self.continuation_factor <= 1.0:
-            raise InputError("continuation_factor must exceed 1")
-        if not 0.0 < self.fraction_to_boundary < 1.0:
-            raise InputError("fraction_to_boundary must lie in (0, 1)")
         if self.max_iters < 1:
             raise InputError("max_iters must be at least 1")
 
@@ -85,7 +81,7 @@ def _stage_schedule(config: SolverConfig):
     w = min(config.continuation_start, 0.5)
     while w > config.omega_target * (1.0 + 1e-9):
         omegas.append(w)
-        w /= config.continuation_factor
+        w /= CONTINUATION_FACTOR
     omegas.append(config.omega_target)
     ratio = config.tau_target / config.omega_target
     return [(w, min(w, max(w * ratio, config.tau_target))) for w in omegas]
@@ -163,7 +159,7 @@ def _line_search(nlp, x, d, phi, slope, alpha0):
     return None, None
 
 
-def _run_stage(nlp, x, config, stage_label):
+def _run_stage(nlp, x, config):
     """Damped Newton with an adaptive Levenberg shift.
 
     The shift mu grows whenever a step is rejected and shrinks after full
@@ -220,11 +216,11 @@ def _run_stage(nlp, x, config, stage_label):
             mu_floor = 1e-12 * H.diag_scale
         accepted = False
         for _ in range(12):
-            d, mu_used = _newton_direction(H, g, config.regularization_floor,
+            d, mu_used = _newton_direction(H, g, REGULARIZATION_FLOOR,
                                            max(mu, mu_floor))
             if d is None:
                 break
-            alpha_max = _max_step(nlp, x, d, config.fraction_to_boundary)
+            alpha_max = _max_step(nlp, x, d, FRACTION_TO_BOUNDARY)
             slope = float(g @ d)
             if -slope * alpha_max <= 50.0 * eps_phi * (1.0 + abs(phi)):
                 # decrease indistinguishable from round-off: stop cleanly
@@ -245,11 +241,6 @@ def _run_stage(nlp, x, config, stage_label):
                 mu = 0.0
         zmin = float(np.min(nlp.z_quad_values(x))) if nlp.problem.n_z else np.inf
         trace.append((phi, gnorm, alpha, zmin))
-        if config.verbose:
-            log.info(
-                "stage=%s iter=%d phi=%.12e grad_inf=%.3e step=%.3e min_z=%.3e",
-                stage_label, it, phi_new, gnorm, alpha, zmin,
-            )
         if abs(phi - phi_new) <= 4.0 * eps_phi * (1.0 + abs(phi)):
             phi = phi_new
             status = "stalled"
@@ -281,8 +272,7 @@ def solve(nlp, initial, config: SolverConfig | None = None,
     for omega, tau in _stage_schedule(config):
         nlp.params = PenaltyBarrierParams(omega, tau)
         x = _make_interior(nlp, x, tau, omega)
-        label = f"{omega:.1e}"
-        x, phi, status, trace = _run_stage(nlp, x, config, label)
+        x, phi, status, trace = _run_stage(nlp, x, config)
         report_stages.append(
             {"omega": omega, "tau": tau, "iters": len(trace), "status": status,
              "final_merit": float(phi),
@@ -309,10 +299,11 @@ def solve(nlp, initial, config: SolverConfig | None = None,
 def initial_guess(problem, space, strategy: str = "constant") -> Trajectory:
     """Strictly interior starting trajectory.
 
-    Both strategies set every algebraic component to 1.  With registered
-    boundary metadata (``boundary_start``/``boundary_end`` state vectors),
-    the differential components interpolate linearly between them;
-    otherwise they start at zero.
+    Every algebraic component is 1.  With registered boundary metadata
+    (``boundary_start``/``boundary_end`` state vectors), the differential
+    components interpolate linearly between them; otherwise they start at
+    zero.  ``strategy`` is checked but does not change the guess: both
+    ``"constant"`` and ``"linear-boundary"`` give the same trajectory.
     """
     if strategy not in ("constant", "linear-boundary"):
         raise InputError("strategy must be 'constant' or 'linear-boundary'")

@@ -16,9 +16,7 @@ from pbfem import (
     DynamicProblem,
     FESpace,
     Mesh,
-    best_approximation,
     PenaltyBarrierParams,
-    SolverConfig,
     Trajectory,
     TranscribedNLP,
     control_error,
@@ -26,10 +24,8 @@ from pbfem import (
     estimate_order,
     feasibility_residual_exact,
     gauss_legendre,
-    initial_guess,
     nested_step,
     norm_equivalence_bound_check,
-    solve,
     transcribe_collocation,
     uniform_mesh,
     weierstrass,
@@ -37,7 +33,7 @@ from pbfem import (
 from pbfem import ad
 from pbfem.benchmarks import build, control_values
 from pbfem.collocation import CollocationScheme
-from pbfem.cli import RINGING_SAMPLES, RINGING_WINDOW
+from pbfem.cli import RINGING_SAMPLES, RINGING_WINDOW, RunConfig, solve_benchmark
 
 pytestmark = pytest.mark.acceptance
 
@@ -47,46 +43,16 @@ def check(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _guess_strategy(problem):
-    return "linear-boundary" if "boundary_end" in problem.metadata else "constant"
-
-
 @lru_cache(maxsize=None)
-def pbf_solve(name, n, p=5, target=1e-10, max_iters=200):
-    spec = build(name)
-    prob = spec.problem
-    space = FESpace(uniform_mesh(prob.t0, prob.tE, n), p, prob.n_y, prob.n_z)
-    hints = dict(prob.metadata.get("solver_hints", ()))
-    cfg = SolverConfig(omega_target=target, tau_target=target,
-                       max_iters=max_iters, **hints)
-    return solve(TranscribedNLP(prob, space),
-                 initial_guess(prob, space, _guess_strategy(prob)), cfg)
+def pbf_solve(name, n, target=1e-10):
+    return solve_benchmark(RunConfig(name, "pbf", n, omega=target, tau=target),
+                           build(name))
 
 
 @lru_cache(maxsize=None)
 def pbf_sequenced(name, counts, target=1e-12):
-    """Mesh-sequenced continuation: solve the coarsest mesh cold, then
-    warm-start each refinement from the previous solution with the
-    continuation resumed near its tail.  On the index-3 pendulum a cold
-    fine-mesh start leaves the first stage unconverged and the cascade
-    then descends into a spurious local minimum."""
-    spec = build(name)
-    prob = spec.problem
-    rep = None
-    for i, n in enumerate(counts):
-        space = FESpace(uniform_mesh(prob.t0, prob.tE, n), 5, prob.n_y, prob.n_z)
-        if rep is None:
-            init = initial_guess(prob, space, _guess_strategy(prob))
-            cfg = SolverConfig(omega_target=target, tau_target=target)
-        else:
-            warm = rep.trajectory
-            init = best_approximation(
-                space, [lambda t, j=j: warm.component(j, t)
-                        for j in range(prob.n_y + prob.n_z)])
-            cfg = SolverConfig(omega_target=target, tau_target=target,
-                               continuation_start=1e-4, max_iters=600)
-        rep = solve(TranscribedNLP(prob, space), init, cfg)
-    return rep
+    return solve_benchmark(RunConfig(name, "pbf", counts[-1], omega=target, tau=target),
+                           build(name), sequence=counts[:-1])
 
 
 @lru_cache(maxsize=None)
@@ -107,22 +73,14 @@ def pbf_junction_aligned(name, n, target=1e-10):
     nodes = np.linspace(prob.t0, prob.tE, n + 1)
     k = min(max(int(np.argmin(np.abs(nodes - t_s))), 1), n - 1)
     nodes[k] = t_s
-    space = FESpace(Mesh(nodes), 5, prob.n_y, prob.n_z)
-    hints = dict(prob.metadata.get("solver_hints", ()))
-    cfg = SolverConfig(omega_target=target, tau_target=target, **hints)
-    return solve(TranscribedNLP(prob, space),
-                 initial_guess(prob, space, _guess_strategy(prob)), cfg)
+    return solve_benchmark(RunConfig(name, "pbf", n, omega=target, tau=target),
+                           spec, mesh=Mesh(nodes))
 
 
 @lru_cache(maxsize=None)
-def collocation_solve(name, kind, n, p=5, target=1e-6, max_iters=1200):
-    spec = build(name)
-    prob = spec.problem
-    mesh = uniform_mesh(prob.t0, prob.tE, n)
-    nlp = transcribe_collocation(prob, mesh, CollocationScheme(kind, p=p))
-    space = FESpace(mesh, p, prob.n_y, prob.n_z)
-    cfg = SolverConfig(omega_target=target, tau_target=target, max_iters=max_iters)
-    return solve(nlp, initial_guess(prob, space, _guess_strategy(prob)), cfg)
+def collocation_solve(name, kind, n, target=1e-6):
+    return solve_benchmark(RunConfig(name, kind, n, omega=target, tau=target,
+                                     max_iters=1200), build(name))
 
 
 def reference_control_error(name, rep, interval):

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from pbfem import Trajectory, cli
+from pbfem import (FESpace, SolverConfig, Trajectory, TranscribedNLP,
+                   best_approximation, cli, solve, uniform_mesh)
 from pbfem.benchmarks import build
 from pbfem.cli import RunConfig, main
 from pbfem.errors import BarrierDomainError
@@ -12,6 +13,9 @@ from pbfem.errors import BarrierDomainError
 
 FAST = ["--problem", "vanderpol", "--method", "pbf", "--elements", "4",
         "--p", "2", "--omega", "1e-6", "--tau", "1e-6"]
+# each command's arguments and the prefix of its one-line failure report
+COMMANDS = {"solve": (["solve", *FAST], "vanderpol pbf"),
+            "compare": (["compare", *FAST, "--methods", "pbf", "tr"], "pbf")}
 
 
 class TestRunConfig:
@@ -82,10 +86,11 @@ class TestSolveArtifacts:
 
 
 class TestSolveFailure:
-    def _assert_failed(self, capsys, tmp_path, message):
-        assert main(["solve", *FAST, "--output-dir", str(tmp_path)]) == 1
+    def _assert_failed(self, capsys, tmp_path, message, command="solve"):
+        argv, prefix = COMMANDS[command]
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 1
         out, err = capsys.readouterr()
-        assert out == f"vanderpol pbf: failed ({message})\n" and err == ""
+        assert out == f"{prefix}: failed ({message})\n" and err == ""
         assert not list(tmp_path.iterdir())
 
     def test_non_finite_problem_output(self, tmp_path, monkeypatch, capsys):
@@ -104,14 +109,18 @@ class TestSolveFailure:
             spec.problem.n_y, spec.problem.n_z))
         return nlp.engine.tq
 
-    @pytest.mark.parametrize("error", [BarrierDomainError(0, 1.5, -0.25),
-                                       RuntimeError("Factor is exactly singular")])
-    def test_solver_errors(self, tmp_path, monkeypatch, capsys, error):
+    @pytest.mark.parametrize(
+        "command, error",
+        [(command, error) for command in COMMANDS
+         for error in (BarrierDomainError(0, 1.5, -0.25),
+                       RuntimeError("Factor is exactly singular"))],
+        ids=["error0", "error1", "compare-error0", "compare-error1"])
+    def test_solver_errors(self, tmp_path, monkeypatch, capsys, command, error):
         def failing(*args, **kwargs):
             raise error
 
         monkeypatch.setattr(cli, "solve", failing)
-        self._assert_failed(capsys, tmp_path, str(error))
+        self._assert_failed(capsys, tmp_path, str(error), command)
 
 
 class TestStudy:
@@ -150,3 +159,23 @@ class TestCompare:
         rc = main(["compare", *FAST, "--output-dir", str(tmp_path),
                    "--methods", "pbf"])
         assert rc == 2
+
+
+class TestMeshSequencing:
+    def test_warm_start_equals_projection_of_coarse_solution(self):
+        spec = build("vanderpol")
+        prob = spec.problem
+        config = RunConfig(problem="vanderpol", n_elements=8, p=2, omega=1e-6, tau=1e-6)
+        sequenced = cli.solve_benchmark(config, spec, sequence=(4,))
+        assert sequenced.stages[0]["omega"] == 1e-4
+
+        coarse = cli.solve_benchmark(dataclasses.replace(config, n_elements=4), spec)
+        space = FESpace(uniform_mesh(prob.t0, prob.tE, 8), 2, prob.n_y, prob.n_z)
+        start = best_approximation(
+            space, [lambda t, j=j: coarse.trajectory.component(j, t)
+                    for j in range(prob.n_y + prob.n_z)])
+        warm = solve(TranscribedNLP(prob, space), start,
+                     SolverConfig(omega_target=1e-6, tau_target=1e-6,
+                                  continuation_start=1e-4, max_iters=600))
+        assert np.array_equal(sequenced.trajectory.coeffs, warm.trajectory.coeffs)
+        assert sequenced.stages == warm.stages

@@ -53,8 +53,7 @@ def _make_nlp(problem, method, n, omega, p=5):
 
 def _point(nlp, problem, n):
     space = FESpace(uniform_mesh(problem.t0, problem.tE, n), 5, problem.n_y, problem.n_z)
-    strategy = "linear-boundary" if "boundary_end" in problem.metadata else "constant"
-    x = nlp.from_trajectory(initial_guess(problem, space, strategy))
+    x = nlp.from_trajectory(initial_guess(problem, space))
     x = x + 0.1 * np.random.default_rng(3).standard_normal(x.size)
     return nlp.interior_push(x, 0.3)
 

@@ -39,10 +39,6 @@ class TestConfig:
         with pytest.raises(InputError):
             SolverConfig(omega_target=1e-10, tau_target=1e-8)
         with pytest.raises(InputError):
-            SolverConfig(continuation_factor=1.0)
-        with pytest.raises(InputError):
-            SolverConfig(fraction_to_boundary=1.0)
-        with pytest.raises(InputError):
             SolverConfig(max_iters=0)
 
 
