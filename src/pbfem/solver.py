@@ -9,6 +9,10 @@ of steps that leave the barrier domain.
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -115,21 +119,239 @@ def _make_interior(nlp, x, tau, omega):
     return x
 
 
-def _newton_direction(system, g, floor, mu):
+# arrays shipped to the shift-ladder worker start at multiples of this many
+# bytes of the shared buffer
+_ALIGN = 64
+# a worker that has not replied within this many seconds is taken as hung
+# (its trial takes as long as the local one, milliseconds on every workload)
+_REPLY_TIMEOUT_S = 10.0
+
+
+def _shipment(system, g):
+    """The fields ``system`` is rebuilt from, with the gradient ``g``: the
+    arrays that go through the shared buffer, each with its place in it,
+    the other fields, and the buffer's size."""
+    arrays = [("g", g)]
+    scalars = {}
+    for name in type(system).FIELDS:
+        value = getattr(system, name)
+        if isinstance(value, np.ndarray):
+            arrays.append((name, value))
+        else:
+            scalars[name] = value
+    places, size = [], 0
+    for name, a in arrays:
+        places.append((name, a.dtype.str, a.shape, size))
+        size += -(-a.nbytes // _ALIGN) * _ALIGN
+    return [a for _, a in arrays], places, scalars, size
+
+
+def _serve(conn, main_end, buf):
+    """Worker loop: rebuild each system shipped through ``buf`` and try its
+    shift, until the main process hangs up."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    main_end.close()
+    while True:
+        try:
+            cls, places, scalars, shift = conn.recv()
+        except (EOFError, OSError):
+            return
+        t0 = time.perf_counter()
+        fields = {name: np.ndarray(shape, dtype, buffer=buf, offset=at)
+                  for name, dtype, shape, at in places}
+        g = fields.pop("g")
+        try:
+            reply = (True, _trial(cls(**fields, **scalars), g, shift))
+        except Exception:
+            # the main process tries the shift itself and meets the error there
+            reply = (False, None)
+        del fields, g
+        try:
+            conn.send((*reply, time.perf_counter() - t0))
+        except OSError:
+            return
+
+
+def _start_worker(size):
+    """A forked shift-ladder worker and its shared buffer of ``size``
+    bytes, or None where no second core is at hand."""
+    if sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
+        return None
+    import multiprocessing
+    if multiprocessing.current_process().daemon:
+        return None  # a daemonic process may not have children
+    buf = mmap.mmap(-1, size)
+    main_end, worker_end = multiprocessing.Pipe()
+    proc = multiprocessing.get_context("fork").Process(
+        target=_serve, args=(worker_end, main_end, buf), daemon=True)
+    try:
+        proc.start()
+    except OSError:
+        main_end.close()
+        buf.close()
+        return None
+    finally:
+        worker_end.close()
+    return proc, main_end, buf
+
+
+class _SecondShift:
+    """The shift ladder's second trial, factored in a forked worker while
+    the first one runs here.
+
+    Most direction calls of a collocation solve need the second shift,
+    because SuperLU refuses the first matrix as singular; the worker puts
+    the machine's second core to that factorization.  It gets each system's
+    numeric ``FIELDS`` through a buffer shared with it, rebuilds the system
+    and tries the shift with the class's own ``solve``, so its direction is
+    the one this process would compute.  A trial is sent only when the
+    previous direction call of the stage needed the second shift, and only
+    while the trials pay for themselves: while the worker's time on the
+    trials whose direction was taken exceeds the time this process spent
+    sending trials and waiting for replies, both summed over the solve (a
+    single late reply would otherwise end the trials).  The
+    worker is forked at the first call that needs the second shift, and
+    anew when a later system outgrows its buffer.  A worker that fails or
+    does not reply costs the local factorization, never a different
+    result, and ends the trials for the solve.
+    """
+
+    def __init__(self):
+        self.wanted = False  # the previous call of this stage needed the second shift
+        self.paid = True
+        self._worker = None  # process, connection, buffer
+        self._pending = False
+        self._saved_s = 0.0  # the worker's time on the trials taken
+        self._spent_s = 0.0  # this process's time sending and waiting
+        self._failed = False
+
+    def submit(self, system, g, shift) -> bool:
+        """Send the trial at ``shift`` to the worker; False when it is not
+        sent."""
+        if not (self.wanted and self.paid) or self._worker is None:
+            return False
+        t0 = time.perf_counter()
+        arrays, places, scalars, size = _shipment(system, g)
+        if size > len(self._worker[2]) or not self._drain():
+            return False
+        _, conn, buf = self._worker
+        for a, (_, dtype, shape, at) in zip(arrays, places):
+            np.ndarray(shape, dtype, buffer=buf, offset=at)[...] = a
+        try:
+            conn.send((type(system), places, scalars, shift))
+        except OSError:
+            self._fail()
+            return False
+        self._pending = True
+        self._spent_s += time.perf_counter() - t0
+        return True
+
+    def take(self, system, g, shift):
+        """The trial :meth:`submit` sent: the worker's direction, or the
+        local one when the worker gave none."""
+        t0 = time.perf_counter()
+        reply = self._receive()
+        if reply is None or not reply[0]:
+            return _trial(system, g, shift)
+        _, d, worker_s = reply
+        self._saved_s += worker_s
+        self._spent_s += time.perf_counter() - t0
+        self.paid = self._saved_s > self._spent_s
+        return d
+
+    def new_stage(self):
+        """The next call starts a stage, so it has no previous call.  The
+        buffer's pages are handed back to the system until a trial is sent
+        again: a later stage may use another Newton form."""
+        self.wanted = False
+        if self._worker is not None and self._drain():
+            self._worker[2].madvise(mmap.MADV_REMOVE)
+
+    def after(self, system, g, needed_second):
+        """Note whether a direction call needed the second shift; fork a
+        worker that can take ``system`` if the next call will want one."""
+        self.wanted = needed_second
+        if not (needed_second and self.paid) or self._failed:
+            return
+        size = _shipment(system, g)[3]
+        if self._worker is not None and size <= len(self._worker[2]):
+            return
+        self.close()
+        self._worker = _start_worker(size)
+        self._failed = self._worker is None
+
+    def _receive(self):
+        """The worker's reply to the trial in flight, or None when it died
+        or did not reply in time."""
+        self._pending = False
+        conn = self._worker[1]
+        try:
+            if conn.poll(_REPLY_TIMEOUT_S):
+                return conn.recv()
+        except (EOFError, OSError):
+            pass
+        self._fail()
+        return None
+
+    def _drain(self) -> bool:
+        """Wait out a reply nobody took; False when the worker failed."""
+        return not self._pending or self._receive() is not None
+
+    def _fail(self):
+        self.close(kill=True)
+        self._failed = True
+
+    def close(self, kill=False):
+        """Stop the worker: it exits when its connection closes."""
+        if self._worker is None:
+            return
+        proc, conn, buf = self._worker
+        self._worker, self._pending = None, False
+        conn.close()
+        if kill:
+            proc.kill()
+        proc.join(_REPLY_TIMEOUT_S)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join()
+        proc.close()
+        buf.close()
+
+
+def _next_shift(shift, floor, scale):
+    return max(floor * scale, 4.0 * shift) if shift else max(floor * scale, 1e-8 * scale)
+
+
+def _trial(system, g, shift):
+    """The Newton direction at ``shift``, or None when SuperLU refuses the
+    matrix."""
+    try:
+        return system.solve(g, shift)
+    except (RuntimeError, ValueError):
+        return None
+
+
+def _newton_direction(system, g, floor, mu, ahead=None):
     """Solve the shifted Newton model, escalating the shift until the
     factorization succeeds and yields a descent direction.  Returns the
-    direction and the shift that produced it."""
+    direction and the shift that produced it.
+
+    With ``ahead`` (a :class:`_SecondShift`), the second shift may be tried
+    in its worker while the first is tried here; the ladder's shifts and
+    directions are the same either way."""
     scale = system.diag_scale
     shift = mu
-    for _ in range(40):
-        try:
-            d = system.solve(g, shift)
-        except (RuntimeError, ValueError):
-            d = None
+    second = ahead is not None and ahead.submit(system, g, _next_shift(shift, floor, scale))
+    for k in range(40):
+        d = ahead.take(system, g, shift) if second and k == 1 else _trial(system, g, shift)
         if d is not None and np.all(np.isfinite(d)) and float(g @ d) < 0.0:
-            return d, shift
-        shift = max(floor * scale, 4.0 * shift) if shift else max(floor * scale, 1e-8 * scale)
-    return None, shift
+            break
+        shift = _next_shift(shift, floor, scale)
+    else:
+        d = None
+    if ahead is not None:
+        ahead.after(system, g, needed_second=k > 0)
+    return d, shift
 
 
 def _max_step(nlp, x, d, frac):
@@ -159,7 +381,7 @@ def _line_search(nlp, x, d, phi, slope, alpha0):
     return None, None
 
 
-def _run_stage(nlp, x, config):
+def _run_stage(nlp, x, config, ahead):
     """Damped Newton with an adaptive Levenberg shift.
 
     The shift mu grows whenever a step is rejected and shrinks after full
@@ -187,6 +409,7 @@ def _run_stage(nlp, x, config):
     it = 0
     best_gnorm = np.inf
     since_best = 0
+    ahead.new_stage()
     while it < config.max_iters:
         g, H = nlp.newton_system(x)
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
@@ -217,7 +440,7 @@ def _run_stage(nlp, x, config):
         accepted = False
         for _ in range(12):
             d, mu_used = _newton_direction(H, g, REGULARIZATION_FLOOR,
-                                           max(mu, mu_floor))
+                                           max(mu, mu_floor), ahead)
             if d is None:
                 break
             alpha_max = _max_step(nlp, x, d, FRACTION_TO_BOUNDARY)
@@ -262,6 +485,12 @@ def solve(nlp, initial, config: SolverConfig | None = None,
     coefficient vector.  The report carries an independently computed
     feasibility residual, not the assembled one, so quadrature blind spots
     cannot hide infeasibility.
+
+    On Linux with two or more CPUs, a solve whose Newton matrices need the
+    second Levenberg shift forks one worker process that factors it beside
+    the first (:class:`_SecondShift`); the worker is stopped before
+    ``solve`` returns or raises, and the results are the same bits as
+    without it.
     """
     config = config or SolverConfig()
     t_start = time.perf_counter()
@@ -269,15 +498,19 @@ def solve(nlp, initial, config: SolverConfig | None = None,
     x = np.array(x, dtype=float)
     report_stages = []
     status = "converged"
-    for omega, tau in _stage_schedule(config):
-        nlp.params = PenaltyBarrierParams(omega, tau)
-        x = _make_interior(nlp, x, tau, omega)
-        x, phi, status, trace = _run_stage(nlp, x, config)
-        report_stages.append(
-            {"omega": omega, "tau": tau, "iters": len(trace), "status": status,
-             "final_merit": float(phi),
-             "final_grad": float(trace[-1][1]) if trace else None}
-        )
+    ahead = _SecondShift()
+    try:
+        for omega, tau in _stage_schedule(config):
+            nlp.params = PenaltyBarrierParams(omega, tau)
+            x = _make_interior(nlp, x, tau, omega)
+            x, phi, status, trace = _run_stage(nlp, x, config, ahead)
+            report_stages.append(
+                {"omega": omega, "tau": tau, "iters": len(trace), "status": status,
+                 "final_merit": float(phi),
+                 "final_grad": float(trace[-1][1]) if trace else None}
+            )
+    finally:
+        ahead.close()
     x = np.asarray(x, dtype=np.float64)
     trajectory = nlp.to_trajectory(x)
     F_h = float(nlp.objective(x))

@@ -479,25 +479,37 @@ class _ShiftedPlan:
             data[next(extra)] += jtj.ravel()[self.jtj] * (1 / omega)
         if self.EtE is not None:
             data[next(extra)] += self.EtE.data * (1 / omega)
-        # scipy's H.nnz counted every stored slot unless a sum dropped zeros
-        summed = jp is not None or self.EtE is not None
-        diag_scale = float(np.max(np.abs(data[self.diag]))) if data.any() or not summed else 1.0
+        # the shift ladder grows in units of this scale, so a zero
+        # diagonal takes unit steps
+        diag_scale = float(np.max(np.abs(data[self.diag]), initial=0.0)) or 1.0
         zero = data == 0
         zero[self.diag] = False
-        return _ShiftedSystem(self, data, np.flatnonzero(zero), diag_scale)
+        return _ShiftedSystem(**_dropped(self, data, np.flatnonzero(zero)),
+                              diag_scale=diag_scale)
+
+
+def _dropped(plan, data, drop):
+    """The CSC fields of ``plan``'s matrix with values ``data``, the slots
+    at the sorted positions ``drop`` left out."""
+    data, indices, indptr = _drop(data, plan.indices, plan.indptr, drop)
+    diag = plan.diag - np.searchsorted(drop, plan.diag) if len(drop) else plan.diag
+    return {"n": plan.n, "data": data, "indices": indices, "indptr": indptr, "diag": diag}
 
 
 class _ShiftedSystem:
     """Newton model (H + mu I) d = -g solved by sparse LU.
 
-    Holds the Newton matrix without its shift, with the exact zeros at
-    ``drop`` left out; zeros on the diagonal are left out once the shift is
-    added."""
+    Holds the Newton matrix without its shift in CSC form, ``diag`` the
+    positions of its diagonal; zeros on the diagonal are left out once the
+    shift is added.  A system is rebuilt from its ``FIELDS`` alone, so it
+    can be solved in another process."""
 
-    def __init__(self, plan, data, drop, diag_scale):
-        self.n = plan.n
-        self.data, self.indices, self.indptr = _drop(data, plan.indices, plan.indptr, drop)
-        self.diag = plan.diag - np.searchsorted(drop, plan.diag) if len(drop) else plan.diag
+    FIELDS = ("n", "data", "indices", "indptr", "diag", "diag_scale")
+
+    def __init__(self, n, data, indices, indptr, diag, diag_scale):
+        self.n = n
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.diag = diag
         self.diag_scale = diag_scale
 
     def matrix(self, shift):
@@ -590,7 +602,9 @@ class _SaddlePlan:
             data[self.pos_e] = self.E.data
         data[self.pos_omega] = -omega
         drop = self.optional[data[self.optional] == 0]
-        return _SaddleSystem(self, data, drop, C, g_smooth)
+        diag_scale = max(float(np.max(np.abs(data[self.diag]), initial=0.0)), 1.0)
+        return _SaddleSystem(**_dropped(self, data, drop), diag_scale=diag_scale,
+                             C=C, g_smooth=g_smooth, dim=self.dim)
 
 
 class _SaddleSystem(_ShiftedSystem):
@@ -608,12 +622,13 @@ class _SaddleSystem(_ShiftedSystem):
     (B + mu I + J^T J / omega) d = -(g_smooth + J^T C / omega).
     """
 
-    def __init__(self, plan, data, drop, C, g_smooth):
-        diag_scale = max(float(np.max(np.abs(data[plan.diag]), initial=0.0)), 1.0)
-        super().__init__(plan, data, drop, diag_scale)
+    FIELDS = _ShiftedSystem.FIELDS + ("C", "g_smooth", "dim")
+
+    def __init__(self, C, g_smooth, dim, **fields):
+        super().__init__(**fields)
         self.C = C
         self.g_smooth = g_smooth
-        self.dim = plan.dim
+        self.dim = dim
 
     def solve(self, g, shift):
         K = self.matrix(shift)
