@@ -151,6 +151,7 @@ def _serve(conn, main_end, buf):
     shift, until the main process hangs up."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     main_end.close()
+    conn.send("ready")
     while True:
         try:
             cls, places, scalars, shift = conn.recv()
@@ -205,36 +206,37 @@ class _SecondShift:
     numeric ``FIELDS`` through a buffer shared with it, rebuilds the system
     and tries the shift with the class's own ``solve``, so its direction is
     the one this process would compute.  A trial is sent only when the
-    previous direction call of the stage needed the second shift, and only
-    while the trials pay for themselves: while the worker's time on the
-    trials whose direction was taken exceeds the time this process spent
-    sending trials and waiting for replies, both summed over the solve (a
-    single late reply would otherwise end the trials).  The
-    worker is forked at the first call that needs the second shift, and
-    anew when a later system outgrows its buffer.  A worker that fails or
-    does not reply costs the local factorization, never a different
-    result, and ends the trials for the solve.
+    previous direction call of the stage needed the second shift, to a
+    worker that is not still busy, and only while the stage's trials pay
+    for themselves: while the worker's time on the trials whose direction
+    was taken exceeds the time this process spent sending trials and
+    waiting for replies, both summed over the stage.  Each stage starts
+    with a clean account, so that one late reply early on (a host's
+    scheduling hiccup of a few milliseconds) does not end the trials for
+    the whole solve.  The worker is forked at the first call that needs
+    the second shift, and anew when a later system outgrows its buffer.
+    A worker that fails or does not reply costs the local factorization,
+    never a different result, and ends the trials for the solve.
     """
 
     def __init__(self):
-        self.wanted = False  # the previous call of this stage needed the second shift
-        self.paid = True
         self._worker = None  # process, connection, buffer
-        self._pending = False
-        self._saved_s = 0.0  # the worker's time on the trials taken
-        self._spent_s = 0.0  # this process's time sending and waiting
+        self._pending = False  # a message from the worker is due
         self._failed = False
+        self.new_stage()
 
     def submit(self, system, g, shift) -> bool:
         """Send the trial at ``shift`` to the worker; False when it is not
         sent."""
-        if not (self.wanted and self.paid) or self._worker is None:
+        if not (self._wanted and self.paid) or self._worker is None:
             return False
         t0 = time.perf_counter()
-        arrays, places, scalars, size = _shipment(system, g)
-        if size > len(self._worker[2]) or not self._drain():
-            return False
         _, conn, buf = self._worker
+        arrays, places, scalars, size = _shipment(system, g)
+        # a worker still starting, or still on a trial nobody took, is
+        # not waited for
+        if size > len(buf) or self._pending and not (conn.poll(0) and self._receive()):
+            return False
         for a, (_, dtype, shape, at) in zip(arrays, places):
             np.ndarray(shape, dtype, buffer=buf, offset=at)[...] = a
         try:
@@ -260,17 +262,21 @@ class _SecondShift:
         return d
 
     def new_stage(self):
-        """The next call starts a stage, so it has no previous call.  The
-        buffer's pages are handed back to the system until a trial is sent
-        again: a later stage may use another Newton form."""
-        self.wanted = False
+        """The next call starts a stage: it has no previous call, and the
+        stage's account starts clean.  The buffer's pages are handed back
+        to the system until a trial is sent again: a later stage may use
+        another Newton form."""
+        self._wanted = False  # the previous call of the stage needed the second shift
+        self.paid = True
+        self._saved_s = 0.0  # the worker's time on the trials taken
+        self._spent_s = 0.0  # this process's time sending and waiting
         if self._worker is not None and self._drain():
             self._worker[2].madvise(mmap.MADV_REMOVE)
 
     def after(self, system, g, needed_second):
         """Note whether a direction call needed the second shift; fork a
         worker that can take ``system`` if the next call will want one."""
-        self.wanted = needed_second
+        self._wanted = needed_second
         if not (needed_second and self.paid) or self._failed:
             return
         size = _shipment(system, g)[3]
@@ -279,10 +285,12 @@ class _SecondShift:
         self.close()
         self._worker = _start_worker(size)
         self._failed = self._worker is None
+        self._pending = not self._failed  # its "ready"
 
     def _receive(self):
-        """The worker's reply to the trial in flight, or None when it died
-        or did not reply in time."""
+        """The message due from the worker (its "ready", or its reply to
+        the trial in flight), or None when it died or did not send it in
+        time."""
         self._pending = False
         conn = self._worker[1]
         try:
@@ -294,26 +302,24 @@ class _SecondShift:
         return None
 
     def _drain(self) -> bool:
-        """Wait out a reply nobody took; False when the worker failed."""
+        """Wait out a message nobody took; False when the worker failed."""
         return not self._pending or self._receive() is not None
 
     def _fail(self):
-        self.close(kill=True)
+        self.close()
         self._failed = True
 
-    def close(self, kill=False):
-        """Stop the worker: it exits when its connection closes."""
+    def close(self):
+        """Stop the worker.  It holds nothing to save, so it is killed and
+        not left to finish a trial in flight; a worker whose main process
+        died without closing exits when its connection ends."""
         if self._worker is None:
             return
         proc, conn, buf = self._worker
         self._worker, self._pending = None, False
         conn.close()
-        if kill:
-            proc.kill()
-        proc.join(_REPLY_TIMEOUT_S)
-        if proc.exitcode is None:
-            proc.kill()
-            proc.join()
+        proc.kill()
+        proc.join()
         proc.close()
         buf.close()
 

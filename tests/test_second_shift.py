@@ -64,7 +64,7 @@ def ladder(system, g, mu, worker):
     if worker:
         ahead = solver._SecondShift()
         ahead.after(system, g, needed_second=True)
-        assert ahead._worker is not None
+        assert ahead._drain()  # the worker is ready
     try:
         d, shift = solver._newton_direction(system, g, REGULARIZATION_FLOOR, mu, ahead)
     finally:
@@ -134,6 +134,7 @@ class TestSameBits:
         assert type(system).__name__ == "_SaddleSystem"
         ahead = solver._SecondShift()
         ahead.after(system, g, needed_second=True)
+        assert ahead._drain()
         try:
             assert ahead.submit(system, g, 1e-3)
             d = ahead.take(system, g, 1e-3)
@@ -155,12 +156,35 @@ class TestSameBits:
         assert "solve" not in scalars and [p[0] for p in places][0] == "g"
         ahead = solver._SecondShift()
         ahead.after(system, g, needed_second=True)
+        assert ahead._drain()
         try:
             d, shift = solver._newton_direction(system, g, REGULARIZATION_FLOOR, mu, ahead)
         finally:
             ahead.close()
         assert shift == second
         assert same_bits(d, type(system).solve(system, g, second))
+
+
+@needs_worker
+def test_trials_stop_in_a_stage_where_they_do_not_pay(monkeypatch):
+    system, g, mu = first_refusal(monkeypatch, "lgr", 3)
+    ahead = solver._SecondShift()
+    ahead.after(system, g, needed_second=True)
+    assert ahead._drain()
+    # the worker reports its trial as free: waiting for it did not pay
+    receive = ahead._receive
+    monkeypatch.setattr(ahead, "_receive", lambda: (*receive()[:2], 0.0))
+    try:
+        assert ahead.submit(system, g, 1.0)
+        ahead.take(system, g, 1.0)
+        assert not ahead.paid
+        ahead.after(system, g, needed_second=True)
+        assert not ahead.submit(system, g, 1.0)
+        ahead.new_stage()
+        ahead.after(system, g, needed_second=True)
+        assert ahead.paid and ahead.submit(system, g, 1.0)
+    finally:
+        ahead.close()
 
 
 def report_bits(report):
