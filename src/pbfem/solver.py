@@ -125,6 +125,10 @@ _ALIGN = 64
 # a worker that has not replied within this many seconds is taken as hung
 # (its trial takes as long as the local one, milliseconds on every workload)
 _REPLY_TIMEOUT_S = 10.0
+# glibc's mallopt parameters, and the largest mmap threshold it takes on a
+# 64-bit platform
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
 
 
 def _shipment(system, g):
@@ -146,11 +150,27 @@ def _shipment(system, g):
     return [a for _, a in arrays], places, scalars, size
 
 
+def _keep_freed_memory():
+    """Have glibc's malloc keep what this process frees.  SuperLU's
+    workspace is then reused from one factorization to the next instead of
+    being handed back to the system and page-faulted in again (on the
+    second shift of pendulum-a, 4.8 against 4.2 ms per trial by LGR at 30
+    elements, 4.7 against 3.9 ms by FE at 40).  Only the worker does so: it
+    holds nothing else, and the memory it keeps is its own."""
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
 def _serve(conn, main_end, buf):
     """Worker loop: rebuild each system shipped through ``buf`` and try its
     shift, until the main process hangs up."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     main_end.close()
+    _keep_freed_memory()
     conn.send("ready")
     while True:
         try:
