@@ -9,6 +9,7 @@ of steps that leave the barrier domain.
 
 from __future__ import annotations
 
+import ctypes
 import mmap
 import os
 import signal
@@ -157,7 +158,6 @@ def _keep_freed_memory():
     second shift of pendulum-a, 4.8 against 4.2 ms per trial by LGR at 30
     elements, 4.7 against 3.9 ms by FE at 40).  Only the worker does so: it
     holds nothing else, and the memory it keeps is its own."""
-    import ctypes
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -198,7 +198,7 @@ def _start_worker(size):
     bytes, or None where no second core is at hand."""
     if sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
         return None
-    import multiprocessing
+    import multiprocessing  # only solves that fork pay for the import
     if multiprocessing.current_process().daemon:
         return None  # a daemonic process may not have children
     buf = mmap.mmap(-1, size)
