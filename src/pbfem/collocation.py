@@ -21,7 +21,7 @@ import scipy.sparse
 from .errors import InputError
 from .mesh import FESpace
 from .polynomials import basis_deriv_matrix, basis_matrix, legendre_eval
-from .transcription import PenaltyBarrierParams, TranscribedNLP, _Engine
+from .transcription import PenaltyBarrierParams, TranscribedNLP
 
 __all__ = [
     "CollocationScheme",
@@ -168,8 +168,6 @@ def _node_based_nlp(problem, mesh, params, with_midpoints):
         point_eval.append(per_point)
 
     z_idx = np.array([z_var(i, j) for i in range(S) for j in range(nz)], dtype=int)
-    engine = _Engine(problem, A, gidx, w[:, None], times[:, None], dim, z_idx,
-                     point_eval if problem.n_b else [], E, e0, extended=False)
 
     p_exp = 3 if with_midpoints else 1
     space = FESpace(mesh, p_exp, ny, nz, z_continuous=True)
@@ -213,7 +211,9 @@ def _node_based_nlp(problem, mesh, params, with_midpoints):
             x[[z_var(i, j) for i in range(S)]] = trajectory.component(ny + j, t)
         return x
 
-    return TranscribedNLP._of_engine(problem, engine, params, space, export_map, sample_plan)
+    return TranscribedNLP._of_tensors(problem, params, space, export_map, sample_plan, A, gidx,
+                                      w[:, None], times[:, None], dim, z_idx,
+                                      point_eval if problem.n_b else [], E, e0, extended=False)
 
 
 def _lgr_nlp(problem, mesh, scheme, params):
@@ -272,10 +272,6 @@ def _lgr_nlp(problem, mesh, scheme, params):
             per_point.append((np.array([y_dof(j, b, l) for l in range(L)]), row))
         point_eval.append(per_point)
 
-    z_idx = np.arange(ny * n_y_dofs, dim)
-    engine = _Engine(problem, A, gidx, w, tq, dim, z_idx,
-                     point_eval if problem.n_b else [], extended=False)
-
     space = FESpace(mesh, p, ny, nz, z_continuous=False)
     gl = np.array(space.ref_nodes)
     By = basis_matrix(tuple(local), gl)  # (p+1, p+1)
@@ -304,7 +300,9 @@ def _lgr_nlp(problem, mesh, scheme, params):
                 x[[z_dof(j, b, q) for q in range(p)]] = trajectory.component(ny + j, tz)
         return x
 
-    return TranscribedNLP._of_engine(problem, engine, params, space, export_map, sample_plan)
+    return TranscribedNLP._of_tensors(problem, params, space, export_map, sample_plan, A, gidx,
+                                      w, tq, dim, np.arange(ny * n_y_dofs, dim),
+                                      point_eval if problem.n_b else [], extended=False)
 
 
 def transcribe_collocation(problem, mesh, scheme: CollocationScheme,

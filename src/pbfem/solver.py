@@ -116,7 +116,7 @@ def _make_interior(nlp, x, tau, omega):
         pass
     # pathological coefficient spread: fall back to a unit interior point
     x = np.array(x)
-    x[nlp.engine.z_dof_indices] = 1.0
+    x[nlp.z_dof_indices] = 1.0
     return x
 
 

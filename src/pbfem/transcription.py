@@ -20,8 +20,8 @@ penalty curvature is contracted from the residuals' compact Hessians on
 the planes where one of them is nonzero, and residuals are differentiated
 to second order only in the stages that use it.  Within the planes, the
 structural zeros get no slot: the entries where the basis product
-``A[k, b, q, l] * A[j, b, q, r]`` (see ``_Engine``) vanishes at every node
-q, as it does for most pairs of the unit-vector LGR basis of the algebraic
+``A[k, b, q, l] * A[j, b, q, r]`` (see ``TranscribedNLP``) vanishes at every
+node q, as it does for most pairs of the unit-vector LGR basis of the algebraic
 rows.  A plan per Newton form -- the Gauss-Newton matrix H + mu I, or the
 saddle matrix with the constraint Jacobian -- fixes the CSC pattern handed
 to SuperLU and where each Hessian sum, Jacobian value and shift lands in
@@ -641,9 +641,23 @@ class _SaddleSystem(_ShiftedSystem):
         return z[: self.dim]
 
 
-class _Engine:
-    """Shared assembly core for the FE transcription and the collocation
-    baselines.
+class TranscribedNLP:
+    """A problem transcribed into one penalty-barrier NLP, and its assembly.
+
+    The transcription -- the discretization, its quadrature and with them
+    every sparsity pattern and Newton-matrix plan -- is fixed for the
+    object's lifetime.  Only ``params``, the weights (omega, tau), change:
+    the continuation solver sets them at each stage.
+
+    Constructed directly, it is the finite-element transcription: degrees
+    of freedom are exactly the trajectory coefficients of ``space``, and
+    continuity of the differential components is structural.  The default
+    quadrature uses 2p points per interval, two points beyond the p-point
+    budget a collocation scheme of the same degree would have, which is
+    what rules out quadrature blind spots like the sawtooth example in the
+    tests.  ``transcribe_collocation`` returns the collocation baselines as
+    this class too; their variables map to and from coefficients of
+    ``space``.
 
     The problem callables are fed argument rows k = 0..m-1 laid out as
     [ydot components, y components, z components].  Row k at quadrature
@@ -653,19 +667,82 @@ class _Engine:
     collocation linkage conditions) are appended to C_h.
     """
 
-    def __init__(self, problem, A, gidx, w, tq, dim, z_dof_indices,
-                 point_eval=None, E=None, e0=None, extended=True):
+    # merit and newton_system stay plain methods of a class without
+    # __slots__: the benchmark's tracer (perfbench/tracing.py) times them
+    # by replacing them on the instance
+
+    def __init__(self, problem, space, rule=None, params=None):
+        if space.n_y != problem.n_y or space.n_z != problem.n_z:
+            raise InputError("space component counts must match the problem")
+        if rule is None:
+            rule = gauss_legendre(max(1, 2 * space.p))
+        mesh = space.mesh
+        ny, nz = problem.n_y, problem.n_z
+        nb_int = mesh.n_intervals
+        L = space.p + 1
+        Q = rule.n_points
+        lengths = mesh.lengths
+        nodes = tuple(space.ref_nodes)
+        Bv = basis_matrix(nodes, rule.nodes)  # (Q, L)
+        Bd = basis_deriv_matrix(nodes, rule.nodes)
+
+        m = 2 * ny + nz
+        A = np.empty((m, nb_int, Q, L))
+        gidx = np.empty((m, nb_int, L), dtype=int)
+        for j in range(ny):
+            A[j] = Bd[None] * (2.0 / lengths)[:, None, None]
+            A[ny + j] = Bv[None]
+            gidx[j] = space.y_dofs[j]
+            gidx[ny + j] = space.y_dofs[j]
+        for j in range(nz):
+            A[2 * ny + j] = Bv[None]
+            gidx[2 * ny + j] = space.z_dofs[j]
+
+        mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
+        halves = 0.5 * lengths
+        tq = mids[:, None] + halves[:, None] * rule.nodes[None, :]
+        w = halves[:, None] * rule.weights[None, :]
+
+        point_eval = [
+            [space.point_evaluation_row(j, tk) for j in range(ny)]
+            for tk in problem.point_times
+        ] if problem.n_b else []
+
+        self._transcribe(problem, params, space, lambda x: x,
+                         lambda trajectory: trajectory.coeffs, A, gidx, w, tq,
+                         space.dimension, space.z_dof_indices, point_eval)
+
+    @classmethod
+    def _of_tensors(cls, *args, **kwargs):
+        """The NLP of a transcription built elsewhere (see ``_transcribe``)."""
+        nlp = cls.__new__(cls)
+        nlp._transcribe(*args, **kwargs)
+        return nlp
+
+    def _transcribe(self, problem, params, space, export_map, sample_plan, A, gidx, w, tq,
+                    dimension, z_dof_indices, point_eval, E=None, e0=None, extended=True):
+        """Set up the assembly of the transcription given by its tensors:
+        ``A`` and ``gidx`` (see the class), quadrature weights ``w`` and
+        times ``tq`` of shape (n_batch, n_quad), the algebraic dofs, the
+        boundary slots ``point_eval`` as (dofs, weights) rows per point
+        time, and linear rows ``E x + e0``.  ``export_map`` takes the
+        variables to coefficients of ``space``, ``sample_plan`` takes a
+        trajectory to the variables."""
+        self.problem = problem
+        self.params = params if params is not None else PenaltyBarrierParams(1e-2, 1e-2)
+        self.space = space
+        self._export_map = export_map
+        self._sample_plan = sample_plan
         # extended=False keeps every evaluation in plain double precision,
         # the standard NLP-solver setting used for the collocation baselines
         self.extended = extended
-        self.problem = problem
         self.A = np.ascontiguousarray(A)
         self.gidx = np.ascontiguousarray(gidx)
         self.w = w
         self.tq = tq
-        self.dim = dim
+        self.dimension = dimension
         self.z_dof_indices = np.asarray(z_dof_indices, dtype=int)
-        self.point_eval = point_eval if point_eval is not None else []
+        self.point_eval = point_eval
         self.E = E.tocsr() if E is not None else None
         self.e0 = np.asarray(e0, dtype=float) if e0 is not None else None
         self.m = self.A.shape[0]
@@ -685,7 +762,7 @@ class _Engine:
             cols = np.concatenate([d for d, _ in slots])
             data = np.concatenate([r for _, r in slots])
             self.Pb = scipy.sparse.csr_matrix(
-                (data, (rows, cols)), shape=(self.n_slots, dim)
+                (data, (rows, cols)), shape=(self.n_slots, dimension)
             )
             # the dofs the boundary slots read, and Pb densely over them
             self._b_dofs = np.unique(self.Pb.indices).astype(np.int32)
@@ -852,7 +929,8 @@ class _Engine:
         return bval, bjac
 
     # -- merit pieces ----------------------------------------------------
-    def objective(self, x):
+    def objective(self, x) -> float:
+        """F_h: quadrature value of the objective integral."""
         return self._objective(x, self._call_fc(x, 0)[1])
 
     def _objective(self, x, fval):
@@ -863,6 +941,8 @@ class _Engine:
         return total
 
     def constraint_vector(self, x) -> np.ndarray:
+        """C_h: point constraints, then per-node weighted DAE residuals
+        (and any linear rows of the transcription)."""
         return self._constraint_vector(x, self._call_fc(x, 0)[4])
 
     def _constraint_vector(self, x, cval) -> np.ndarray:
@@ -890,7 +970,8 @@ class _Engine:
         A = self._cast("A", self.A, x.dtype)
         return np.einsum("kbql,kbl->kbq", A[sl], x[self.gidx[sl]])
 
-    def barrier(self, x):
+    def barrier(self, x) -> float:
+        """Gamma_h: quadrature approximation of -sum_j int log z_j."""
         x = np.asarray(x)
         zvals = self.z_quad_values(x)
         if zvals.size and np.min(zvals) <= 0.0:
@@ -901,27 +982,27 @@ class _Engine:
             total -= r
         return total
 
-    def merit(self, x, params: PenaltyBarrierParams):
-        x = np.asarray(x, dtype=_work_dtype(params, self.extended))
+    def merit(self, x) -> float:
+        x = np.asarray(x, dtype=_work_dtype(self.params, self.extended))
         gamma = self.barrier(x)  # check positivity first: cheap rejection
         # one evaluation of f and c serves both the residuals and the
         # objective; the residuals are checked first
         _, fval, _, _, cval, *_ = self._call_fc(x, 0)
         C = self._constraint_vector(x, cval)
         F = self._objective(x, fval)
-        return F + (C @ C) / (2.0 * params.omega) + params.tau * gamma
+        return F + (C @ C) / (2.0 * self.params.omega) + self.params.tau * gamma
 
-    def merit_gradient(self, x, params: PenaltyBarrierParams) -> np.ndarray:
-        g, _ = self._assemble(x, params, with_hessian=False)
+    def merit_gradient(self, x) -> np.ndarray:
+        g, _ = self._assemble(x, with_hessian=False)
         return g
 
-    def newton_system(self, x, params: PenaltyBarrierParams):
+    def newton_system(self, x):
         """Gradient and (Gauss-Newton plus exact-f plus barrier) Hessian."""
-        return self._assemble(x, params, with_hessian=True)
+        return self._assemble(x, with_hessian=True)
 
-    def _assemble(self, x, params, with_hessian):
-        omega, tau = params.omega, params.tau
-        dt = _work_dtype(params, self.extended)
+    def _assemble(self, x, with_hessian):
+        omega, tau = self.params.omega, self.params.tau
+        dt = _work_dtype(self.params, self.extended)
         x = np.asarray(x, dtype=dt)
         # exact penalty curvature is used once iterates are near feasible:
         # without it the Newton model loses O(|C|/omega) curvature and
@@ -942,8 +1023,8 @@ class _Engine:
         # smooth part (objective + barrier) and penalty part are kept
         # separate: the saddle-point Newton form needs the smooth gradient
         # on its own
-        g_sm = np.zeros(self.dim, dtype=dt)
-        g_pen = np.zeros(self.dim, dtype=dt)
+        g_sm = np.zeros(self.dimension, dtype=dt)
+        g_pen = np.zeros(self.dimension, dtype=dt)
 
         contrib = np.einsum("bq,kbq,kbql->kbl", w, fgrad, A, optimize=True)
         # barrier
@@ -1099,15 +1180,15 @@ class _Engine:
                 return plan
             masks = tuple(None if m is None else m | p for m, p in zip(masks, plan.masks))
         planes, pairs, jp_mask = masks
-        hess = _hessian_sums(self.gidx, planes, _reach(self.A), self.dim, self._batch_major)
+        hess = _hessian_sums(self.gidx, planes, _reach(self.A), self.dimension, self._batch_major)
         b_dofs = self._b_dofs if jp_mask is not None else None
         if saddle:
             jq = None
             if pairs is not None:
-                jq = _jacobian_sums(self.gidx, self.n_quad, pairs, self.dim)
-            plan = _SaddlePlan(hess, jq, self.dim, b_dofs, jp_mask, self.E)
+                jq = _jacobian_sums(self.gidx, self.n_quad, pairs, self.dimension)
+            plan = _SaddlePlan(hess, jq, self.dimension, b_dofs, jp_mask, self.E)
         else:
-            plan = _ShiftedPlan(hess, self.dim, b_dofs, jp_mask, self.E)
+            plan = _ShiftedPlan(hess, self.dimension, b_dofs, jp_mask, self.E)
         plan.masks = masks
         self._plans[saddle] = plan
         return plan
@@ -1154,6 +1235,7 @@ class _Engine:
         return Hc
 
     def interior_push(self, x, threshold: float) -> np.ndarray:
+        """Clip every algebraic variable up to at least ``threshold``."""
         if threshold <= 0.0:
             raise InputError("push threshold must be positive")
         out = np.array(x, dtype=float)
@@ -1175,7 +1257,7 @@ class _Engine:
             return out
         zq = self.z_quad_values(out)  # (nz, B, Q)
         mins = zq.min(axis=2)
-        delta = np.zeros(self.dim)
+        delta = np.zeros(self.dimension)
         k0 = 2 * self.problem.n_y
         for j, b in zip(*np.nonzero(mins < threshold)):
             lift = threshold - mins[j, b]
@@ -1183,120 +1265,6 @@ class _Engine:
             np.maximum.at(delta, self.gidx[k0 + j, b], lift)
         out += delta
         return out
-
-
-class TranscribedNLP:
-    """A problem transcribed into one penalty-barrier NLP.
-
-    The transcription -- the discretization, its quadrature and with them
-    every sparsity pattern and Newton-matrix plan -- is fixed for the
-    object's lifetime.  Only ``params``, the weights (omega, tau), change:
-    the continuation solver sets them at each stage.
-
-    Constructed directly, it is the finite-element transcription: degrees
-    of freedom are exactly the trajectory coefficients of ``space``, and
-    continuity of the differential components is structural.  The default
-    quadrature uses 2p points per interval, two points beyond the p-point
-    budget a collocation scheme of the same degree would have, which is
-    what rules out quadrature blind spots like the sawtooth example in the
-    tests.  ``transcribe_collocation`` returns the collocation baselines as
-    this class too; their variables map to and from coefficients of
-    ``space``.
-    """
-
-    def __init__(self, problem, space, rule=None, params=None):
-        if space.n_y != problem.n_y or space.n_z != problem.n_z:
-            raise InputError("space component counts must match the problem")
-        if rule is None:
-            rule = gauss_legendre(max(1, 2 * space.p))
-        mesh = space.mesh
-        ny, nz = problem.n_y, problem.n_z
-        nb_int = mesh.n_intervals
-        L = space.p + 1
-        Q = rule.n_points
-        lengths = mesh.lengths
-        nodes = tuple(space.ref_nodes)
-        Bv = basis_matrix(nodes, rule.nodes)  # (Q, L)
-        Bd = basis_deriv_matrix(nodes, rule.nodes)
-
-        m = 2 * ny + nz
-        A = np.empty((m, nb_int, Q, L))
-        gidx = np.empty((m, nb_int, L), dtype=int)
-        for j in range(ny):
-            A[j] = Bd[None] * (2.0 / lengths)[:, None, None]
-            A[ny + j] = Bv[None]
-            gidx[j] = space.y_dofs[j]
-            gidx[ny + j] = space.y_dofs[j]
-        for j in range(nz):
-            A[2 * ny + j] = Bv[None]
-            gidx[2 * ny + j] = space.z_dofs[j]
-
-        mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-        halves = 0.5 * lengths
-        tq = mids[:, None] + halves[:, None] * rule.nodes[None, :]
-        w = halves[:, None] * rule.weights[None, :]
-
-        point_eval = [
-            [space.point_evaluation_row(j, tk) for j in range(ny)]
-            for tk in problem.point_times
-        ] if problem.n_b else []
-
-        engine = _Engine(
-            problem, A, gidx, w, tq, space.dimension,
-            space.z_dof_indices, point_eval,
-        )
-        self._bind(problem, engine, params, space,
-                   lambda x: x, lambda trajectory: trajectory.coeffs)
-
-    @classmethod
-    def _of_engine(cls, problem, engine, params, space, export_map, sample_plan):
-        """The NLP of an engine assembled elsewhere: ``export_map`` takes
-        its variables to coefficients of ``space``, ``sample_plan`` takes a
-        trajectory to its variables."""
-        nlp = cls.__new__(cls)
-        nlp._bind(problem, engine, params, space, export_map, sample_plan)
-        return nlp
-
-    def _bind(self, problem, engine, params, space, export_map, sample_plan):
-        self.problem = problem
-        self.engine = engine
-        self.params = params if params is not None else PenaltyBarrierParams(1e-2, 1e-2)
-        self.space = space
-        self.dimension = engine.dim
-        self._export_map = export_map
-        self._sample_plan = sample_plan
-
-    def merit(self, x) -> float:
-        return self.engine.merit(x, self.params)
-
-    def merit_gradient(self, x) -> np.ndarray:
-        return self.engine.merit_gradient(x, self.params)
-
-    def newton_system(self, x):
-        return self.engine.newton_system(x, self.params)
-
-    def objective(self, x) -> float:
-        """F_h: quadrature value of the objective integral."""
-        return self.engine.objective(x)
-
-    def constraint_vector(self, x) -> np.ndarray:
-        """C_h: point constraints, then per-node weighted DAE residuals
-        (and any linear rows of the transcription)."""
-        return self.engine.constraint_vector(x)
-
-    def barrier(self, x) -> float:
-        """Gamma_h: quadrature approximation of -sum_j int log z_j."""
-        return self.engine.barrier(x)
-
-    def z_quad_values(self, x) -> np.ndarray:
-        return self.engine.z_quad_values(x)
-
-    def interior_push(self, x, threshold: float) -> np.ndarray:
-        """Clip every algebraic variable up to at least ``threshold``."""
-        return self.engine.interior_push(x, threshold)
-
-    def interior_margin(self, x, threshold: float) -> np.ndarray:
-        return self.engine.interior_margin(x, threshold)
 
     def to_trajectory(self, x) -> Trajectory:
         return Trajectory(self.space, self._export_map(np.array(x, dtype=float)))

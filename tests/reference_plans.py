@@ -4,7 +4,7 @@ This is how ``pbfem.transcription`` built its Newton-matrix plans before it
 built them a chunk of the pattern at a time: every COO entry of the
 element Hessians and of the quadrature Jacobian converted at once, with
 ``np.unique`` over int64 keys for the union of the slot lists.  It is kept
-only as a reference; the engine's plans must hold exactly the integer
+only as a reference; the transcription's plans must hold exactly the integer
 arrays it computes.
 """
 
@@ -40,7 +40,7 @@ def conversion_order(rows, cols, shape, fmt):
 
 class SlotSums:
     """``pos``, ``run`` and the slots ``(rows, cols)`` of a fixed COO
-    pattern, as the engine's ``_SlotSums`` documents them."""
+    pattern, as the transcription's ``_SlotSums`` documents them."""
 
     def __init__(self, rows, cols, shape, fmt, where, all_slots):
         perm, run, major, minor = conversion_order(rows, cols, shape, fmt)

@@ -107,7 +107,7 @@ class TestSolveFailure:
         nlp = cli.TranscribedNLP(spec.problem, cli.FESpace(
             cli.uniform_mesh(spec.problem.t0, spec.problem.tE, 4), 2,
             spec.problem.n_y, spec.problem.n_z))
-        return nlp.engine.tq
+        return nlp.tq
 
     @pytest.mark.parametrize(
         "command, error",

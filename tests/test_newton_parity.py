@@ -1,6 +1,6 @@
 """Bit parity of the Newton build and the merit with their direct references.
 
-The engine tracks derivative supports, sums element Hessians only over
+The transcription tracks derivative supports, sums element Hessians only over
 nonzero planes and places every value of the Newton matrix on slots fixed
 per transcription and Newton form.  None of that may change a single bit:
 the gradient and every matrix handed to SuperLU must equal the ones built
@@ -64,14 +64,14 @@ def _nlp_and_point(name, method, n, omega, problem=None, p=5):
     return nlp, _point(nlp, problem, n)
 
 
-def _dense_parts(engine, x):
+def _dense_parts(nlp, x):
     """Values and dense first and second derivatives of f and c at every
     node, evaluated with dense Duals."""
-    m, shape = engine.m, (engine.n_batch, engine.n_quad)
-    vals = engine.arg_values(x)
-    ydot, y, z = engine._split(dense_ad.seed(vals, m, second_order=True))
-    fout = engine.problem.f(ydot, y, z, engine.tq)
-    cout = engine.problem.c(ydot, y, z, engine.tq) if engine.problem.n_c else []
+    m, shape = nlp.m, (nlp.n_batch, nlp.n_quad)
+    vals = nlp.arg_values(x)
+    ydot, y, z = nlp._split(dense_ad.seed(vals, m, second_order=True))
+    fout = nlp.problem.f(ydot, y, z, nlp.tq)
+    cout = nlp.problem.c(ydot, y, z, nlp.tq) if nlp.problem.n_c else []
 
     def parts(v):
         if isinstance(v, dense_ad.DenseDual):
@@ -89,16 +89,16 @@ def _dense_parts(engine, x):
     return vals, fhess, cval, cgrad, chess
 
 
-def _reference_matrices(engine, x, params):
+def _reference_matrices(nlp, x, params):
     """The Newton matrix as a function of the shift, assembled directly as
     SuperLU receives it (splu sums duplicates and sorts indices in place
     before factoring)."""
     omega, tau = params.omega, params.tau
-    x = np.asarray(x, dtype=transcription._work_dtype(params, engine.extended))
-    vals, fhess, cval, cgrad, chess = _dense_parts(engine, x)
-    saddle = omega < transcription._EXTENDED_OMEGA and engine.extended
-    w, A = engine.w, engine.A
-    m, B, Q, L, dim = engine.m, engine.n_batch, engine.n_quad, engine.L, engine.dim
+    x = np.asarray(x, dtype=transcription._work_dtype(params, nlp.extended))
+    vals, fhess, cval, cgrad, chess = _dense_parts(nlp, x)
+    saddle = omega < transcription._EXTENDED_OMEGA and nlp.extended
+    w, A = nlp.w, nlp.A
+    m, B, Q, L, dim = nlp.m, nlp.n_batch, nlp.n_quad, nlp.L, nlp.dimension
     M = w[None, None] * fhess
     if cval.size:
         if not saddle:
@@ -106,21 +106,21 @@ def _reference_matrices(engine, x, params):
         if saddle or omega <= transcription._CURVATURE_OMEGA:
             M = M + np.einsum("rbq,rkjbq,bq->kjbq", cval, chess, w / omega, optimize=True)
     Hloc = np.einsum("kbql,kjbq,jbqr->bkljr", A, M, A, optimize=True)
-    nz, k0 = engine.problem.n_z, 2 * engine.problem.n_y
+    nz, k0 = nlp.problem.n_z, 2 * nlp.problem.n_y
     for j in range(nz):
         z = np.asarray(vals[k0 + j], dtype=np.float64)
         Hloc[:, k0 + j, :, k0 + j, :] += np.einsum(
             "bq,bql,bqr->blr", tau * w / z**2, A[k0 + j], A[k0 + j])
-    Gl = engine.gidx.transpose(1, 0, 2).reshape(B, m * L)
+    Gl = nlp.gidx.transpose(1, 0, 2).reshape(B, m * L)
     H = scipy.sparse.coo_matrix(
         (Hloc.reshape(B, m * L, m * L).ravel(),
          (np.repeat(Gl, m * L, axis=1).ravel(), np.tile(Gl, (1, m * L)).ravel())),
         shape=(dim, dim),
     ).tocsc()
     JP = None
-    if engine.problem.n_b and engine.Pb is not None:
-        _, bjac = engine._boundary(x, 1)
-        JP = scipy.sparse.csr_matrix(np.asarray(bjac, dtype=np.float64)) @ engine.Pb
+    if nlp.problem.n_b and nlp.Pb is not None:
+        _, bjac = nlp._boundary(x, 1)
+        JP = scipy.sparse.csr_matrix(np.asarray(bjac, dtype=np.float64)) @ nlp.Pb
     if saddle:
         parts = [JP] if JP is not None else []
         if cval.size:
@@ -128,12 +128,12 @@ def _reference_matrices(engine, x, params):
             jq_vals = np.einsum("bq,rkbq,kbql->bqrkl", np.sqrt(w), cgrad, A,
                                 optimize=True)
             rows = np.repeat(np.arange(B * Q * nc), m * L)
-            gT = engine.gidx.transpose(1, 0, 2)
+            gT = nlp.gidx.transpose(1, 0, 2)
             cols = np.broadcast_to(gT[:, None, None, :, :], (B, Q, nc, m, L)).ravel()
             parts.append(scipy.sparse.coo_matrix(
                 (jq_vals.ravel(), (rows, cols)), shape=(B * Q * nc, dim)).tocsr())
-        if engine.E is not None:
-            parts.append(engine.E)
+        if nlp.E is not None:
+            parts.append(nlp.E)
         J = scipy.sparse.vstack(parts, format="csr")
 
         def matrix(shift):
@@ -145,8 +145,8 @@ def _reference_matrices(engine, x, params):
     else:
         if JP is not None:
             H = H + (JP.T @ JP) / omega
-        if engine.E is not None:
-            H = H + (engine.E.T @ engine.E) / omega
+        if nlp.E is not None:
+            H = H + (nlp.E.T @ nlp.E) / omega
 
         def matrix(shift):
             return (H.tocsc() + shift * scipy.sparse.identity(dim, format="csc")).tocsc()
@@ -186,7 +186,7 @@ def _assert_reference(monkeypatch, nlp, x, g, handed, shifts):
     monkeypatch.setattr(ad, "Dual", dense_ad.DenseDual)
     monkeypatch.setattr(ad, "seed", dense_ad.seed)
     g_ref = nlp.merit_gradient(x)
-    reference = _reference_matrices(nlp.engine, x, nlp.params)
+    reference = _reference_matrices(nlp, x, nlp.params)
     assert g.dtype == g_ref.dtype and np.array_equal(g, g_ref)
     for K, shift in zip(handed, shifts):
         K_ref = reference(shift)
@@ -207,7 +207,7 @@ def test_newton_build_is_bit_exact(monkeypatch, name, method, n, planewise, omeg
     nlp, x = _nlp_and_point(name, method, n, omega)
     g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(shift))
     if planewise is not None:
-        assert nlp.engine._hessian_kernel == ("planewise" if planewise else "batched")
+        assert nlp._hessian_kernel == ("planewise" if planewise else "batched")
     _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(shift))
 
 
@@ -220,7 +220,7 @@ def test_newton_build_is_bit_exact(monkeypatch, name, method, n, planewise, omeg
 def test_newton_build_is_bit_exact_at_other_degrees(monkeypatch, method, p, kernel, omega):
     nlp, x = _nlp_and_point("pendulum-a", method, 4, omega, p=p)
     g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
-    assert nlp.engine._hessian_kernel == kernel
+    assert nlp._hessian_kernel == kernel
     _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
 
 
@@ -244,7 +244,7 @@ def test_newton_build_without_algebraic_components(monkeypatch, method, linear, 
     problem = _oscillator(linear)
     nlp, x = _nlp_and_point(None, method, 4, omega, problem=problem)
     g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
-    planes = [len(plan.hess.ks) for plan in nlp.engine._plans.values()]
+    planes = [len(plan.hess.ks) for plan in nlp._plans.values()]
     assert (planes == [0]) if linear else all(planes)
     _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
 
@@ -255,9 +255,8 @@ def test_batched_kernel_equals_einsum_over_all_planes(method, p):
     # plane subsets (the empty one included): the batched kernel's planes
     # equal those of numpy's contraction over all m * m planes
     nlp = _make_nlp(build("pendulum-a").problem, method, 30, 1e-3, p)
-    engine = nlp.engine
-    assert engine._hessian_kernel == "batched"
-    m, shape = engine.m, (engine.n_batch, engine.n_quad)
+    assert nlp._hessian_kernel == "batched"
+    m, shape = nlp.m, (nlp.n_batch, nlp.n_quad)
     rng = np.random.default_rng(2024)
     for trial in range(40):
         planes = rng.random((m, m)) < (0.0 if trial == 0 else rng.uniform(0.05, 1.0))
@@ -265,8 +264,8 @@ def test_batched_kernel_equals_einsum_over_all_planes(method, p):
         M = np.zeros((m, m) + shape)
         size = (len(ks),) + shape
         M[ks, js] = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
-        ref = np.einsum(transcription._ELEMENT_HESSIANS, engine.A, M, engine.A, optimize=True)
-        Hc = engine._element_hessians(M[ks, js], ks, js)
+        ref = np.einsum(transcription._ELEMENT_HESSIANS, nlp.A, M, nlp.A, optimize=True)
+        Hc = nlp._element_hessians(M[ks, js], ks, js)
         assert np.array_equal(Hc, ref.transpose(1, 3, 0, 2, 4)[ks, js])
 
 
@@ -274,15 +273,15 @@ def test_batched_kernel_that_differs_from_einsum_is_not_used(monkeypatch):
     # a batched kernel whose bits differ from np.einsum's, as on numpy
     # releases that run the pairwise path's second step without matmul, is
     # found at construction: the einsum itself runs, in its layout
-    kernel = transcription._Engine._element_hessians
+    kernel = transcription.TranscribedNLP._element_hessians
 
-    def one_ulp_off(engine, M, ks, js):
-        Hc = kernel(engine, M, ks, js)
-        return np.nextafter(Hc, np.inf) if engine._hessian_kernel == "batched" else Hc
+    def one_ulp_off(nlp, M, ks, js):
+        Hc = kernel(nlp, M, ks, js)
+        return np.nextafter(Hc, np.inf) if nlp._hessian_kernel == "batched" else Hc
 
-    monkeypatch.setattr(transcription._Engine, "_element_hessians", one_ulp_off)
+    monkeypatch.setattr(transcription.TranscribedNLP, "_element_hessians", one_ulp_off)
     nlp, x = _nlp_and_point("pendulum-a", "lgr", 3, 1e-3)
-    assert nlp.engine._hessian_kernel == "einsum" and not nlp.engine._batch_major
+    assert nlp._hessian_kernel == "einsum" and not nlp._batch_major
     g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
     _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
 
@@ -293,12 +292,11 @@ def test_lgr_plan_holds_no_structural_zero():
     # plan sums exactly the entries where some product does not
     nlp, x = _nlp_and_point("pendulum-a", "lgr", 30, 1e-3)
     nlp.newton_system(x)
-    engine = nlp.engine
-    hess = engine._plans[False].hess
-    A, B, L = engine.A, engine.n_batch, engine.L
+    hess = nlp._plans[False].hess
+    A, B, L = nlp.A, nlp.n_batch, nlp.L
     nonzero = np.einsum("kbql,jbqr->kjblr", (A != 0).astype(int), (A != 0).astype(int)) > 0
     on_planes = nonzero[hess.ks, hess.js]
-    if engine._batch_major:
+    if nlp._batch_major:
         p, b, l, r = np.unravel_index(hess.pos, (len(hess.ks), B, L, L))
     else:
         p, l, r, b = np.unravel_index(hess.pos, (len(hess.ks), L, L, B))
@@ -318,9 +316,9 @@ def test_non_finite_curvature_refuses_every_factorization(method):
         problem, c=lambda yd, y, z, t: [c(yd, y, z, t)[0] + y[0] ** 1.5, *c(yd, y, z, t)[1:]])
     nlp, x = _nlp_and_point(None, method, 3, 1e-6, problem=problem)
     x = np.array(x)
-    x[nlp.engine.gidx[problem.n_y]] = 0.0  # the coefficients of y[0]
+    x[nlp.gidx[problem.n_y]] = 0.0  # the coefficients of y[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert np.all(nlp.engine.arg_values(x)[problem.n_y] == 0.0)
+        assert np.all(nlp.arg_values(x)[problem.n_y] == 0.0)
         g, system = nlp.newton_system(x)
         for shift in (0.0, 1e-6, 1e-2, 1.0):
             with pytest.raises(ValueError, match="non-finite Newton matrix"):
@@ -343,12 +341,11 @@ def test_newton_build_without_boundary_or_residual_rows(monkeypatch, drop, omega
 
 
 @pytest.mark.parametrize("name,method,n", [("pendulum-a", "pbf", 3), ("pendulum-a", "lgr", 3)])
-def test_shared_engine_matches_fresh_engines(monkeypatch, name, method, n):
+def test_shared_nlp_matches_fresh_nlps(monkeypatch, name, method, n):
     # one transcription whose weights move through the continuation, as the
-    # solver moves them: its engine and plans serve every stage
+    # solver moves them: its plans serve every stage
     problem = build(name).problem
     nlp = _make_nlp(problem, method, n, 1e-3)
-    engine = nlp.engine
     x = _point(nlp, problem, n)
     for omega in (1e-3, 1e-4, 1e-5, 1e-6):
         nlp.params = PenaltyBarrierParams(omega, omega)
@@ -363,8 +360,7 @@ def test_shared_engine_matches_fresh_engines(monkeypatch, name, method, n):
             assert np.array_equal(K.indices, K_fresh.indices)
             assert np.array_equal(K.data, K_fresh.data)
     # one plan per Newton form: Gauss-Newton, and saddle for FE only
-    assert nlp.engine is engine
-    assert len(engine._plans) == (2 if method == "pbf" else 1)
+    assert len(nlp._plans) == (2 if method == "pbf" else 1)
 
 
 def _assert_plan_grows(monkeypatch, term):
@@ -377,10 +373,10 @@ def _assert_plan_grows(monkeypatch, term):
         problem, f=lambda ydot, y, z, t: f(ydot, y, z, t) + term(scale[0], ydot, y))
     nlp, x = _nlp_and_point(None, "pbf", 4, 1e-3, problem=problem)
     nlp.newton_system(x)
-    planes = nlp.engine._plans[False].masks[0].copy()
+    planes = nlp._plans[False].masks[0].copy()
     scale[0] = 1.0
     g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
-    assert (nlp.engine._plans[False].masks[0] & ~planes).any()
+    assert (nlp._plans[False].masks[0] & ~planes).any()
     _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
 
 
@@ -411,25 +407,25 @@ def _same(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def _assert_plan_equals_reference(engine, saddle):
-    """Every integer array of the engine's plan equals the one the
+def _assert_plan_equals_reference(nlp, saddle):
+    """Every integer array of the NLP's plan equals the one the
     whole-pattern builder makes for the same masks."""
-    plan = engine._plans[saddle]
+    plan = nlp._plans[saddle]
     planes, pairs, jp_mask = plan.masks
-    hess = reference_plans.hessian_sums(engine.gidx, planes, transcription._reach(engine.A),
-                                        engine.dim, engine._batch_major)
-    b_dofs = engine._b_dofs if jp_mask is not None else None
+    hess = reference_plans.hessian_sums(nlp.gidx, planes, transcription._reach(nlp.A),
+                                        nlp.dimension, nlp._batch_major)
+    b_dofs = nlp._b_dofs if jp_mask is not None else None
     assert _same(plan.hess.pos, hess.pos)
     if not saddle:
-        ref = reference_plans.shifted_plan(hess, engine.dim, b_dofs, jp_mask, engine.E)
+        ref = reference_plans.shifted_plan(hess, nlp.dimension, b_dofs, jp_mask, nlp.E)
         assert len(plan.pos_extra) == len(ref["pos_extra"])
         assert all(_same(a, b) for a, b in zip(plan.pos_extra, ref["pos_extra"]))
         assert _same(plan.run, ref["run"])
     else:
         jq = None
         if pairs is not None:
-            jq = reference_plans.jacobian_sums(engine.gidx, engine.n_quad, pairs, engine.dim)
-        ref = reference_plans.saddle_plan(hess, jq, engine.dim, b_dofs, jp_mask, engine.E)
+            jq = reference_plans.jacobian_sums(nlp.gidx, nlp.n_quad, pairs, nlp.dimension)
+        ref = reference_plans.saddle_plan(hess, jq, nlp.dimension, b_dofs, jp_mask, nlp.E)
         # the Hessian entries' slots, then the Jq entries' slots below and
         # right of the Hessian block
         n_h = len(plan.run)
@@ -459,8 +455,8 @@ def test_plans_equal_whole_pattern_reference(monkeypatch, name, method, n, plane
         monkeypatch.setattr(transcription, "_CHUNK_ENTRIES", chunk)
     nlp, x = _nlp_and_point(name, method, n, omega)
     nlp.newton_system(x)
-    for saddle in nlp.engine._plans:
-        _assert_plan_equals_reference(nlp.engine, saddle)
+    for saddle in nlp._plans:
+        _assert_plan_equals_reference(nlp, saddle)
 
 
 @pytest.mark.parametrize("chunk", [None, 64])
@@ -513,13 +509,12 @@ _WHOLE_PATTERN_PEAK_MIB = {False: 9.0, True: 15.7}
 @pytest.mark.parametrize("saddle", [False, True])
 def test_plan_build_takes_half_the_memory_of_the_whole_pattern(saddle):
     nlp, x = _nlp_and_point("pendulum-a", "pbf", 40, 1e-6 if saddle else 1e-3)
-    engine = nlp.engine
     nlp.newton_system(x)
-    masks = engine._plans.pop(saddle).masks
+    masks = nlp._plans.pop(saddle).masks
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        engine._plan(saddle, masks)
+        nlp._plan(saddle, masks)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -533,9 +528,8 @@ def test_exact_curvature_allocates_no_dense_residual_hessians(monkeypatch, metho
     # B, Q) array (and einsum copied it once more); forming them now peaks
     # well below the size of one such array, on the benchmark meshes
     nlp, x = _nlp_and_point("pendulum-a", method, n, 1e-6)
-    engine = nlp.engine
-    assert engine._curvature_batched
-    curvature, peaks = engine._residual_curvature, []
+    assert nlp._curvature_batched
+    curvature, peaks = nlp._residual_curvature, []
 
     def traced(*args):
         tracemalloc.reset_peak()
@@ -544,13 +538,13 @@ def test_exact_curvature_allocates_no_dense_residual_hessians(monkeypatch, metho
         peaks.append(tracemalloc.get_traced_memory()[1] - base)
         return out
 
-    monkeypatch.setattr(engine, "_residual_curvature", traced)
+    monkeypatch.setattr(nlp, "_residual_curvature", traced)
     tracemalloc.start()
     try:
         g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
     finally:
         tracemalloc.stop()
-    dense = 8 * engine.problem.n_c * engine.m ** 2 * engine.n_batch * engine.n_quad
+    dense = 8 * nlp.problem.n_c * nlp.m ** 2 * nlp.n_batch * nlp.n_quad
     assert len(peaks) == 1 and peaks[0] < dense / 2
     _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
 
@@ -561,9 +555,8 @@ def test_curvature_kernel_equals_einsum(method, n):
     # on random plane subsets (the empty one included): the kernel's planes
     # equal those of numpy's contraction over all m * m planes
     nlp = _make_nlp(build("pendulum-a").problem, method, n, 1e-6)
-    engine = nlp.engine
-    assert engine._curvature_batched
-    nc, m, shape = engine.problem.n_c, engine.m, (engine.n_batch, engine.n_quad)
+    assert nlp._curvature_batched
+    nc, m, shape = nlp.problem.n_c, nlp.m, (nlp.n_batch, nlp.n_quad)
     rng = np.random.default_rng(2025)
 
     def wide(*s):
@@ -587,7 +580,7 @@ def test_curvature_kernel_that_differs_from_einsum_is_not_used(monkeypatch, meth
     monkeypatch.setattr(transcription, "_curvature_matmul",
                         lambda block, cval: np.nextafter(matmul(block, cval), np.inf))
     nlp, x = _nlp_and_point("pendulum-a", method, 3, 1e-6)
-    assert not nlp.engine._curvature_batched
+    assert not nlp._curvature_batched
     g, handed = _handed_matrices(monkeypatch, nlp, x, _ladder(1e-6))
     _assert_reference(monkeypatch, nlp, x, g, handed, _ladder(1e-6))
 
@@ -610,35 +603,35 @@ def test_residuals_carry_second_derivatives_only_for_exact_curvature(method, ome
     assert second == [exact]
 
 
-def _row_by_row(engine, x):
+def _row_by_row(nlp, x):
     """The objective and the barrier as the direct loops form them: one
     ``np.dot`` per (component, interval) row, added in that order."""
-    zvals = engine.z_quad_values(x)
+    zvals = nlp.z_quad_values(x)
     if zvals.size and np.min(zvals) <= 0.0:
         raise BarrierDomainError(0, 0.0, float(np.min(zvals)))
-    w = engine._cast("w", engine.w, x.dtype)
+    w = nlp._cast("w", nlp.w, x.dtype)
     gamma = x.dtype.type(0.0)
     for j in range(zvals.shape[0]):
-        for b in range(engine.n_batch):
+        for b in range(nlp.n_batch):
             gamma -= np.dot(w[b], np.log(zvals[j, b]))
-    fval = engine._call_fc(x, 0)[1]
+    fval = nlp._call_fc(x, 0)[1]
 
     def objective():
-        engine._check_finite(fval, "objective integrand")
+        nlp._check_finite(fval, "objective integrand")
         F = x.dtype.type(0.0)
-        for b in range(engine.n_batch):
+        for b in range(nlp.n_batch):
             F += np.dot(w[b], fval[b])
         return F
 
     return objective, gamma
 
 
-def _reference_merit(engine, x, params):
+def _reference_merit(nlp, x, params):
     """The merit from its pieces, each evaluating the problem on its own,
     with the objective and the barrier summed row by row."""
-    x = np.asarray(x, dtype=transcription._work_dtype(params, engine.extended))
-    objective, gamma = _row_by_row(engine, x)
-    C = engine.constraint_vector(x)
+    x = np.asarray(x, dtype=transcription._work_dtype(params, nlp.extended))
+    objective, gamma = _row_by_row(nlp, x)
+    C = nlp.constraint_vector(x)
     return objective() + (C @ C) / (2.0 * params.omega) + params.tau * gamma
 
 
@@ -651,7 +644,7 @@ def test_merit_matches_two_pass_reference(name, method, n, omega):
     rng = np.random.default_rng(5)
     for _ in range(3):
         y = x + 1e-3 * rng.standard_normal(x.size)
-        phi, ref = nlp.merit(y), _reference_merit(nlp.engine, y, nlp.params)
+        phi, ref = nlp.merit(y), _reference_merit(nlp, y, nlp.params)
         assert phi.dtype == ref.dtype and phi == ref
     if method == "pbf" and omega < 1e-4 and transcription._HAVE_LONGDOUBLE:
         assert phi.dtype == np.longdouble
@@ -671,7 +664,7 @@ def test_objective_and_barrier_sum_row_by_row(name, method, n, dtype):
     rng = np.random.default_rng(7)
     for _ in range(3):
         y = np.asarray(x + 1e-3 * rng.standard_normal(x.size), dtype=dtype)
-        objective, gamma = _row_by_row(nlp.engine, y)
+        objective, gamma = _row_by_row(nlp, y)
         F, F_ref = nlp.objective(y), objective()
         assert F.dtype == F_ref.dtype and F == F_ref
         G = nlp.barrier(y)
@@ -706,9 +699,9 @@ def test_merit_raises_in_the_reference_order(bad):
     nlp, x = _nlp_and_point(None, "pbf", 3, 1e-6, problem=problem)
     if bad == "z_and_both":
         x = np.array(x)
-        x[nlp.engine.z_dof_indices] = -1.0
+        x[nlp.z_dof_indices] = -1.0
     errors = []
-    for merit in (nlp.merit, lambda y: _reference_merit(nlp.engine, y, nlp.params)):
+    for merit in (nlp.merit, lambda y: _reference_merit(nlp, y, nlp.params)):
         with pytest.raises((BarrierDomainError, EvaluationError)) as info:
             merit(x)
         errors.append(info.value)

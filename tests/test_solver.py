@@ -175,7 +175,7 @@ class TestNonFiniteOutput:
         nlp.newton_system = lambda x: pytest.fail("no Newton system after a failed merit")
         with pytest.raises(EvaluationError) as info:
             solve(nlp, initial_guess(prob, space))
-        tq = nlp.engine.tq
+        tq = nlp.tq
         node = tq[tq > 0.6].min()
         assert len(merits) == 1
         assert info.value.node == node
