@@ -29,7 +29,7 @@ __all__ = ["Dual", "seed", "value", "sin", "cos", "tan", "exp", "log", "sqrt", "
 
 def _outer(a, b):
     # (s, ...) x (s, ...) -> (s, s, ...), batched over trailing axes
-    return np.einsum("i...,j...->ij...", a, b)
+    return a[:, None] * b[None]
 
 
 @lru_cache(maxsize=4096)

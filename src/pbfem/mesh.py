@@ -191,17 +191,13 @@ class FESpace:
                 coeffs[self.component_dofs(comp)[b]] = np.asarray(funcs[comp](t))
         return Trajectory(self, coeffs)
 
-    def point_evaluation_row(self, comp: int, t: float, order: int = 0):
-        """Global sparse row evaluating component ``comp`` (or its
-        derivative) at time ``t``; returns (dof_indices, weights)."""
+    def point_evaluation_row(self, comp: int, t: float):
+        """Global sparse row evaluating component ``comp`` at time ``t``;
+        returns (dof_indices, weights)."""
         b = int(self.mesh.interval_index(t))
         a, c = self.mesh.nodes[b], self.mesh.nodes[b + 1]
         ref = (2.0 * t - (a + c)) / (c - a)
-        if order == 0:
-            row = basis_matrix(tuple(self.ref_nodes), [ref])[0]
-        else:
-            row = basis_deriv_matrix(tuple(self.ref_nodes), [ref])[0] * (2.0 / (c - a))
-        return self.component_dofs(comp)[b], row
+        return self.component_dofs(comp)[b], basis_matrix(tuple(self.ref_nodes), [ref])[0]
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
@@ -282,15 +278,15 @@ def evaluate(trajectory: Trajectory, t, derivative_order: int = 0) -> np.ndarray
     return out[:, 0] if scalar else out
 
 
-def best_approximation(space: FESpace, target, quad_points: int | None = None) -> Trajectory:
-    """Componentwise L2 projection of ``target`` onto the trial space.
+def best_approximation(space: FESpace, target) -> Trajectory:
+    """Componentwise L2 projection of ``target`` onto the trial space,
+    integrated by a Gauss rule of 2p + 4 points per interval.
 
     ``target[comp]`` is a callable of a time array.  For continuous
     components the projection is taken within the continuous subspace via
     the (banded) normal equations.
     """
-    p = space.p
-    rule = gauss_legendre(quad_points if quad_points is not None else 2 * p + 4)
+    rule = gauss_legendre(2 * space.p + 4)
     nodes = tuple(space.ref_nodes)
     V = basis_matrix(nodes, rule.nodes)  # (q, p+1)
     coeffs = space.zero_coeffs()

@@ -85,17 +85,15 @@ def evaluate_dae_residual(problem: DynamicProblem, ydot, y, z, t):
     return out
 
 
-def feasibility_residual_exact(problem: DynamicProblem, trajectory, quadrature_order=None) -> float:
+def feasibility_residual_exact(problem: DynamicProblem, trajectory) -> float:
     """Independent feasibility measure r(x) = int ||c||^2 dt + ||b||^2.
 
-    Uses its own Gauss rule, by default 2p + 4 points per interval (two
-    orders beyond the transcription rule), so it cannot inherit the
-    transcription's quadrature blind spots.
+    Uses its own Gauss rule, 2p + 4 points per interval (two orders beyond
+    the transcription rule), so it cannot inherit the transcription's
+    quadrature blind spots.
     """
     space = trajectory.space
-    if quadrature_order is None:
-        quadrature_order = 2 * space.p + 4
-    rule = gauss_legendre(quadrature_order)
+    rule = gauss_legendre(2 * space.p + 4)
     total = 0.0
     for a, bb in space.mesh.intervals:
         t, w = rule.mapped(a, bb)

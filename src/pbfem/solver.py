@@ -417,6 +417,9 @@ def _run_stage(nlp, x, config, ahead):
     controls).  Steps whose predicted decrease is at round-off level are
     therefore never taken; the stage reports "stalled", which at the final
     continuation stage is the expected double-precision endpoint.
+
+    Returns the iterate, its merit, the status, the accepted-step count
+    and the gradient inf-norm the last accepted step started from.
     """
     phi = nlp.merit(x)
     # merit/gradient may be evaluated in extended precision at small omega;
@@ -430,9 +433,9 @@ def _run_stage(nlp, x, config, ahead):
     eps_phi = eps_work
     extended = eps_work < 1e-17
     status = "max_iters"
-    trace = []
     mu = 0.0
     it = 0
+    final_grad = None
     best_gnorm = np.inf
     since_best = 0
     ahead.new_stage()
@@ -484,19 +487,18 @@ def _run_stage(nlp, x, config, ahead):
             status = "stalled"
             break
         x = x + alpha * d
+        it += 1
+        final_grad = gnorm
         if alpha >= 0.99 * alpha_max:
             mu /= 3.0
             if mu < 1e-14:
                 mu = 0.0
-        zmin = float(np.min(nlp.z_quad_values(x))) if nlp.problem.n_z else np.inf
-        trace.append((phi, gnorm, alpha, zmin))
         if abs(phi - phi_new) <= 4.0 * eps_phi * (1.0 + abs(phi)):
             phi = phi_new
             status = "stalled"
             break
         phi = phi_new
-        it += 1
-    return x, phi, status, trace
+    return x, phi, status, it, final_grad
 
 
 def solve(nlp, initial, config: SolverConfig | None = None,
@@ -529,11 +531,10 @@ def solve(nlp, initial, config: SolverConfig | None = None,
         for omega, tau in _stage_schedule(config):
             nlp.params = PenaltyBarrierParams(omega, tau)
             x = _make_interior(nlp, x, tau, omega)
-            x, phi, status, trace = _run_stage(nlp, x, config, ahead)
+            x, phi, status, iters, final_grad = _run_stage(nlp, x, config, ahead)
             report_stages.append(
-                {"omega": omega, "tau": tau, "iters": len(trace), "status": status,
-                 "final_merit": float(phi),
-                 "final_grad": float(trace[-1][1]) if trace else None}
+                {"omega": omega, "tau": tau, "iters": iters, "status": status,
+                 "final_merit": float(phi), "final_grad": final_grad}
             )
     finally:
         ahead.close()

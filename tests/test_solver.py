@@ -15,8 +15,8 @@ from pbfem import (
     uniform_mesh,
 )
 from pbfem.benchmarks import build
-from pbfem.errors import EvaluationError
-from pbfem.solver import _stage_schedule
+from pbfem.errors import BarrierDomainError, EvaluationError
+from pbfem.solver import _make_interior, _stage_schedule
 
 
 def trivial_problem():
@@ -180,3 +180,64 @@ class TestNonFiniteOutput:
         assert len(merits) == 1
         assert info.value.node == node
         assert str(info.value) == f"non-finite objective integrand at t = {node:.6g}"
+
+
+class _RepairStub:
+    """An NLP whose barrier accepts x once every algebraic dof reaches
+    ``floor``.  Its margin lifts the dofs to the threshold, or, with
+    ``margin_works`` False, leaves them as they are; its clip lifts them."""
+
+    z_dof_indices = np.array([1, 3])
+
+    def __init__(self, floor, margin_works=True):
+        self.floor, self.margin_works = floor, margin_works
+        self.calls = []
+
+    def barrier(self, x):
+        z = x[self.z_dof_indices]
+        if np.min(z) < self.floor:
+            raise BarrierDomainError(int(np.argmin(z)), 0.0, float(np.min(z)))
+        return -float(np.sum(np.log(z)))
+
+    def _lift(self, x, threshold):
+        out = np.array(x)
+        out[self.z_dof_indices] = np.maximum(out[self.z_dof_indices], threshold)
+        return out
+
+    def interior_margin(self, x, threshold):
+        self.calls.append(("margin", threshold))
+        return self._lift(x, threshold) if self.margin_works else np.array(x)
+
+    def interior_push(self, x, threshold):
+        self.calls.append(("clip", threshold))
+        return self._lift(x, threshold)
+
+
+class TestMakeInterior:
+    # below every floor used here; the differential dofs 0 and 2 must not move
+    X = np.array([0.3, -1.0, 0.7, -2.0])
+    TAU, OMEGA = 1e-3, 1e-2
+    # the first margin threshold: tau / (L_F + L_R / (2 omega))
+    T0 = TAU / (2.0 + 2.0 / (2.0 * OMEGA))
+
+    def _repair(self, nlp):
+        x = _make_interior(nlp, self.X, self.TAU, self.OMEGA)
+        nlp.barrier(x)
+        assert np.array_equal(x[[0, 2]], self.X[[0, 2]])
+        return x, nlp.calls
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 20])
+    def test_margin_succeeds_after_k_rounds(self, k):
+        x, calls = self._repair(_RepairStub(self.T0 * 4.0 ** (k - 1)))
+        assert calls == [("margin", self.T0 * 4.0 ** i) for i in range(k)]
+        assert np.array_equal(x[[1, 3]], [self.T0 * 4.0 ** (k - 1)] * 2)
+
+    def test_clip_after_twenty_failed_margins(self):
+        x, calls = self._repair(_RepairStub(self.TAU, margin_works=False))
+        assert calls == [("margin", self.T0 * 4.0 ** i) for i in range(20)] + [("clip", self.TAU)]
+        assert np.array_equal(x[[1, 3]], [self.TAU] * 2)
+
+    def test_unit_reset_when_the_clip_fails(self):
+        x, calls = self._repair(_RepairStub(0.5, margin_works=False))
+        assert calls[-1] == ("clip", self.TAU) and len(calls) == 21
+        assert np.array_equal(x[[1, 3]], [1.0, 1.0])
