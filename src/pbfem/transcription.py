@@ -953,12 +953,11 @@ class TranscribedNLP:
     def constraint_vector(self, x) -> np.ndarray:
         """C_h: point constraints, then per-node weighted DAE residuals
         (and any linear rows of the transcription)."""
-        return self._constraint_vector(x, self._call_fc(x, 0)[4])
+        return self._constraint_vector(x, self._call_fc(x, 0)[4], self._boundary(x, 0))
 
-    def _constraint_vector(self, x, cval) -> np.ndarray:
+    def _constraint_vector(self, x, cval, bval) -> np.ndarray:
         if cval.size:
             self._check_finite(cval, "DAE residual")
-        bval = self._boundary(x, 0)
         sw = self._cast("sqrt_w", self.sqrt_w, x.dtype)
         # interval-major, node-minor, residual-component innermost
         cblock = (cval * sw[None]).transpose(1, 2, 0).ravel()
@@ -996,7 +995,7 @@ class TranscribedNLP:
         # one evaluation of f and c serves both the residuals and the
         # objective; the residuals are checked first
         _, fval, _, _, cval, *_ = self._call_fc(x, 0)
-        C = self._constraint_vector(x, cval)
+        C = self._constraint_vector(x, cval, self._boundary(x, 0))
         F = self._objective(x, fval)
         return F + (C @ C) / (2.0 * self.params.omega) + self.params.tau * gamma
 
@@ -1058,7 +1057,7 @@ class TranscribedNLP:
             for s, (dofs, row) in enumerate(self._slots):
                 g_pen[dofs] += coeff[s] * row
         else:
-            bjac = None
+            bval, bjac = self._boundary(x, 0), None
         # extra linear rows
         if self.E is not None:
             E = self._cast("E", self.E, dt)
@@ -1134,7 +1133,7 @@ class TranscribedNLP:
             # einsum("bq,rkbq,kbql->bqrkl", sw, cgrad, A) on the pairs only,
             # with numpy's association of its one-pass product
             jqv = self.sqrt_w[None, :, :, None] * (cgrad64[rs, ks][..., None] * A64[ks])
-        C = np.asarray(self._constraint_vector(x, cval), dtype=np.float64)
+        C = np.asarray(self._constraint_vector(x, cval, bval), dtype=np.float64)
         return g, plan.system(Hc, jqv, jp, C, np.asarray(g_sm, dtype=np.float64), omega)
 
     def _residual_curvature(self, cval, cout, ks, js, scale):

@@ -19,7 +19,8 @@ _spec.loader.exec_module(compare_solves)
 
 def _solve(out, hash_seed, problem, method, elements):
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
-               PYTHONPATH=os.pathsep.join([str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+               PYTHONPATH=os.pathsep.join(filter(None, [str(_ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "pbfem.cli", "solve", "--problem", problem,
                            "--method", method, "--elements", str(elements), "--p", "3",
                            "--output-dir", str(out)], env=env, capture_output=True).returncode
