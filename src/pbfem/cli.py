@@ -4,10 +4,12 @@ Artifacts are plain JSON and CSV so downstream plotting stays decoupled
 from this package.  Exit codes:
 
 - 0: success.
-- 1: the solver did not converge, or a result was flagged; or a solve
-  failed -- non-finite problem output (``EvaluationError``), a barrier
-  domain error, or a numerical failure (``RuntimeError``).  A failed
-  solve prints one line and writes no artifacts.
+- 1: a solve did not converge or did not reach feasibility (``r_feas``
+  above 1e-3); or a solve failed -- non-finite problem output
+  (``EvaluationError``), a barrier domain error, or a numerical failure
+  (``RuntimeError``).  A failed solve prints one line and writes no
+  artifacts.  Flags (ringing, a non-monotone study) are printed but do
+  not change the exit code.
 - 2: configuration error.
 """
 
@@ -189,6 +191,12 @@ def _write_samples_csv(path: Path, problem, trajectory, p: int, n_elements: int)
             writer.writerow([repr(float(col[i])) for _, col in cols])
 
 
+def _converged(report) -> bool:
+    """Whether a solve counts as a success for the exit code: the solver
+    converged and the exact feasibility residual is small."""
+    return report.success and report.r_feas <= 1e-3
+
+
 def cmd_solve(config: RunConfig) -> int:
     spec = build(config.problem)
     out = _output_dir(config.output_dir)
@@ -199,7 +207,7 @@ def cmd_solve(config: RunConfig) -> int:
         return 1
     ringing = _ringing_report(spec, report.trajectory)
     err = _reference_error(spec, report.trajectory)
-    converged = report.success and report.r_feas <= 1e-3
+    converged = _converged(report)
     flagged = (not converged) or (ringing is not None and ringing["flagged"])
     doc = {
         "problem": config.problem,
@@ -255,7 +263,7 @@ def cmd_study(config: RunConfig, element_counts) -> int:
             status=report.status,
         )
         study.add(row)
-        if not report.success:
+        if not _converged(report):
             worst = max(worst, 1)
         print(f"n={n}: status={report.status} r_feas={report.r_feas:.3e}"
               + (f" g_opt={report.g_opt:.3e}" if report.g_opt is not None else ""))
@@ -290,7 +298,7 @@ def cmd_compare(config: RunConfig, methods) -> int:
         u = control_values(spec.problem, report.trajectory, t)
         cols[method] = u
         scores[method] = detect_ringing(u, window=RINGING_WINDOW)
-        if not (report.success and report.r_feas <= 1e-3):
+        if not _converged(report):
             worst = 1
         print(f"{method}: status={report.status} r_feas={report.r_feas:.3e} "
               f"ringing={scores[method]:.3f}")

@@ -17,12 +17,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import InputError, InternalError
-from .polynomials import (
-    basis_deriv_matrix,
-    basis_matrix,
-    gauss_lobatto_nodes,
-    legendre_eval,
-)
+from .polynomials import basis_deriv_matrix, basis_matrix, gauss_lobatto_nodes
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "evaluate",
     "best_approximation",
     "norm_equivalence_bound_check",
-    "legendre_eval",
 ]
 
 

@@ -15,14 +15,14 @@ import os
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import BarrierDomainError, InputError
 from .mesh import Trajectory
 from .problem import feasibility_residual_exact
-from .transcription import PenaltyBarrierParams
+from .transcription import PenaltyBarrierParams, _NewtonSystem
 
 __all__ = ["SolverConfig", "SolveReport", "solve", "initial_guess"]
 
@@ -132,18 +132,17 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_MAX = 32 << 20
 
 
-def _shipment(system, g):
-    """The fields ``system`` is rebuilt from, with the gradient ``g``: the
-    arrays that go through the shared buffer, each with its place in it,
-    the other fields, and the buffer's size."""
-    arrays = [("g", g)]
-    scalars = {}
-    for name in type(system).FIELDS:
-        value = getattr(system, name)
+def _shipment(system):
+    """The fields ``system`` is rebuilt from: the arrays that go through
+    the shared buffer, each with its place in it, the other fields, and
+    the buffer's size."""
+    arrays, scalars = [], {}
+    for f in fields(system):
+        value = getattr(system, f.name)
         if isinstance(value, np.ndarray):
-            arrays.append((name, value))
+            arrays.append((f.name, value))
         else:
-            scalars[name] = value
+            scalars[f.name] = value
     places, size = [], 0
     for name, a in arrays:
         places.append((name, a.dtype.str, a.shape, size))
@@ -174,19 +173,18 @@ def _serve(conn, main_end, buf):
     conn.send("ready")
     while True:
         try:
-            cls, places, scalars, shift = conn.recv()
+            places, scalars, shift = conn.recv()
         except (EOFError, OSError):
             return
         t0 = time.perf_counter()
         fields = {name: np.ndarray(shape, dtype, buffer=buf, offset=at)
                   for name, dtype, shape, at in places}
-        g = fields.pop("g")
         try:
-            reply = (True, _trial(cls(**fields, **scalars), g, shift))
+            reply = (True, _trial(_NewtonSystem(**fields, **scalars), shift))
         except Exception:
             # the main process tries the shift itself and meets the error there
             reply = (False, None)
-        del fields, g
+        del fields
         try:
             conn.send((*reply, time.perf_counter() - t0))
         except OSError:
@@ -223,14 +221,15 @@ class _SecondShift:
     Most direction calls of a collocation solve need the second shift,
     because SuperLU refuses the first matrix as singular; the worker puts
     the machine's second core to that factorization.  It gets each system's
-    numeric ``FIELDS`` through a buffer shared with it, rebuilds the system
-    and tries the shift with the class's own ``solve``, so its direction is
-    the one this process would compute.  A trial is sent only when the
-    previous direction call of the stage needed the second shift, to a
-    worker that is not still busy, and only while the stage's trials pay
-    for themselves: while the worker's time on the trials whose direction
-    was taken exceeds the time this process spent sending trials and
-    waiting for replies, both summed over the stage.  Each stage starts
+    arrays through a buffer shared with it, rebuilds the system from its
+    fields, right-hand side included, and tries the shift with the class's
+    own ``solve``, so its direction is the one this process would compute.
+    A trial is sent only when the previous direction call of the stage
+    needed the second shift, to a worker that is not still busy, and only
+    while the stage's trials pay for themselves: while the worker's time on
+    the trials whose direction was taken exceeds the time this process
+    spent sending trials and waiting for replies, both summed over the
+    stage.  Each stage starts
     with a clean account, so that one late reply early on (a host's
     scheduling hiccup of a few milliseconds) does not end the trials for
     the whole solve.  The worker is forked at the first call that needs
@@ -245,14 +244,14 @@ class _SecondShift:
         self._failed = False
         self.new_stage()
 
-    def submit(self, system, g, shift) -> bool:
+    def submit(self, system, shift) -> bool:
         """Send the trial at ``shift`` to the worker; False when it is not
         sent."""
         if not (self._wanted and self.paid) or self._worker is None:
             return False
         t0 = time.perf_counter()
         _, conn, buf = self._worker
-        arrays, places, scalars, size = _shipment(system, g)
+        arrays, places, scalars, size = _shipment(system)
         # a worker still starting, or still on a trial nobody took, is
         # not waited for
         if size > len(buf) or self._pending and not (conn.poll(0) and self._receive()):
@@ -260,7 +259,7 @@ class _SecondShift:
         for a, (_, dtype, shape, at) in zip(arrays, places):
             np.ndarray(shape, dtype, buffer=buf, offset=at)[...] = a
         try:
-            conn.send((type(system), places, scalars, shift))
+            conn.send((places, scalars, shift))
         except OSError:
             self._fail()
             return False
@@ -268,13 +267,13 @@ class _SecondShift:
         self._spent_s += time.perf_counter() - t0
         return True
 
-    def take(self, system, g, shift):
+    def take(self, system, shift):
         """The trial :meth:`submit` sent: the worker's direction, or the
         local one when the worker gave none."""
         t0 = time.perf_counter()
         reply = self._receive()
         if reply is None or not reply[0]:
-            return _trial(system, g, shift)
+            return _trial(system, shift)
         _, d, worker_s = reply
         self._saved_s += worker_s
         self._spent_s += time.perf_counter() - t0
@@ -293,13 +292,13 @@ class _SecondShift:
         if self._worker is not None and self._drain():
             self._worker[2].madvise(mmap.MADV_REMOVE)
 
-    def after(self, system, g, needed_second):
+    def after(self, system, needed_second):
         """Note whether a direction call needed the second shift; fork a
         worker that can take ``system`` if the next call will want one."""
         self._wanted = needed_second
         if not (needed_second and self.paid) or self._failed:
             return
-        size = _shipment(system, g)[3]
+        size = _shipment(system)[3]
         if self._worker is not None and size <= len(self._worker[2]):
             return
         self.close()
@@ -348,11 +347,11 @@ def _next_shift(shift, floor, scale):
     return max(floor * scale, 4.0 * shift) if shift else max(floor * scale, 1e-8 * scale)
 
 
-def _trial(system, g, shift):
+def _trial(system, shift):
     """The Newton direction at ``shift``, or None when SuperLU refuses the
     matrix."""
     try:
-        return system.solve(g, shift)
+        return system.solve(shift)
     except (RuntimeError, ValueError):
         return None
 
@@ -367,16 +366,16 @@ def _newton_direction(system, g, floor, mu, ahead=None):
     directions are the same either way."""
     scale = system.diag_scale
     shift = mu
-    second = ahead is not None and ahead.submit(system, g, _next_shift(shift, floor, scale))
+    second = ahead is not None and ahead.submit(system, _next_shift(shift, floor, scale))
     for k in range(40):
-        d = ahead.take(system, g, shift) if second and k == 1 else _trial(system, g, shift)
+        d = ahead.take(system, shift) if second and k == 1 else _trial(system, shift)
         if d is not None and np.all(np.isfinite(d)) and float(g @ d) < 0.0:
             break
         shift = _next_shift(shift, floor, scale)
     else:
         d = None
     if ahead is not None:
-        ahead.after(system, g, needed_second=k > 0)
+        ahead.after(system, needed_second=k > 0)
     return d, shift
 
 

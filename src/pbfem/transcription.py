@@ -462,7 +462,7 @@ class _ShiftedPlan:
         if E is not None:
             self.EtE = (E.T @ E).tocoo()
             parts.append((self.EtE.row, self.EtE.col))
-        self.n = dim
+        self.dim = dim
         self.indices, self.indptr, (pos_h, self.diag, *self.pos_extra) = \
             _union_pattern(dim, parts)
         # the Hessian sums go straight into their slots; the slot lists are
@@ -471,7 +471,7 @@ class _ShiftedPlan:
         del hess.rows, hess.cols, hess.run
         self.hess = hess
 
-    def system(self, Hc, jp, omega):
+    def system(self, Hc, jp, omega, rhs):
         data = _slot_values(self.run, Hc.ravel()[self.hess.pos], len(self.indices))
         extra = iter(self.pos_extra)
         if jp is not None:
@@ -486,33 +486,50 @@ class _ShiftedPlan:
         diag_scale = float(np.max(np.abs(data[self.diag]), initial=0.0)) or 1.0
         zero = data == 0
         zero[self.diag] = False
-        return _ShiftedSystem(**_dropped(self, data, np.flatnonzero(zero)),
-                              diag_scale=diag_scale)
+        return _NewtonSystem.of_plan(self, data, np.flatnonzero(zero), diag_scale, rhs,
+                                     refine=False)
 
 
-def _dropped(plan, data, drop):
-    """The CSC fields of ``plan``'s matrix with values ``data``, the slots
-    at the sorted positions ``drop`` left out."""
-    data, indices, indptr = _drop(data, plan.indices, plan.indptr, drop)
-    diag = plan.diag - np.searchsorted(drop, plan.diag) if len(drop) else plan.diag
-    return {"n": plan.n, "data": data, "indices": indices, "indptr": indptr, "diag": diag}
+@dataclass(eq=False)
+class _NewtonSystem:
+    """Newton model K d = rhs, shifted by mu on the primal diagonal and
+    solved by sparse LU, in either form.
 
+    The Gauss-Newton form is (H + mu I) d = -g.  In the saddle form the
+    condensed Hessian B + J^T J / omega, numerically unusable at small
+    omega (its large entries absorb the curvature of weakly determined
+    directions into their round-off), is replaced by the equivalent system
 
-class _ShiftedSystem:
-    """Newton model (H + mu I) d = -g solved by sparse LU.
+        [ B + mu I   J^T       ] [d]   [ -g_smooth ]
+        [ J          -omega I  ] [y] = [ -C        ]
 
-    Holds the Newton matrix without its shift in CSC form, ``diag`` the
-    positions of its diagonal; zeros on the diagonal are left out once the
-    shift is added.  A system is rebuilt from its ``FIELDS`` alone, so it
-    can be solved in another process."""
+    which keeps every block at its natural scale, so the factorization
+    resolves those directions; eliminating y recovers exactly
+    (B + mu I + J^T J / omega) d = -(g_smooth + J^T C / omega).
 
-    FIELDS = ("n", "data", "indices", "indptr", "diag", "diag_scale")
+    Holds K without its shift in CSC form, ``diag`` the positions of its
+    first ``dim`` (primal) diagonal entries, and whether a solve takes one
+    pass of iterative refinement (the saddle form does).  Zeros on the
+    diagonal are left out once the shift is added.  A system is rebuilt
+    from its fields alone, so it can be solved in another process.
+    """
 
-    def __init__(self, n, data, indices, indptr, diag, diag_scale):
-        self.n = n
-        self.data, self.indices, self.indptr = data, indices, indptr
-        self.diag = diag
-        self.diag_scale = diag_scale
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    diag: np.ndarray
+    diag_scale: float
+    rhs: np.ndarray
+    dim: int
+    refine: bool
+
+    @classmethod
+    def of_plan(cls, plan, data, drop, diag_scale, rhs, refine):
+        """The system of ``plan``'s matrix with values ``data``, the slots
+        at the sorted positions ``drop`` left out."""
+        data, indices, indptr = _drop(data, plan.indices, plan.indptr, drop)
+        diag = plan.diag - np.searchsorted(drop, plan.diag) if len(drop) else plan.diag
+        return cls(data, indices, indptr, diag, diag_scale, rhs, plan.dim, refine)
 
     def matrix(self, shift):
         """The Newton matrix handed to SuperLU at this shift."""
@@ -520,27 +537,35 @@ class _ShiftedSystem:
         data[self.diag] += shift
         data, indices, indptr = _drop(data, self.indices, self.indptr,
                                       self.diag[data[self.diag] == 0])
-        return scipy.sparse.csc_matrix((data, indices, indptr), shape=(self.n, self.n))
+        n = len(indptr) - 1
+        return scipy.sparse.csc_matrix((data, indices, indptr), shape=(n, n))
 
-    def solve(self, g, shift):
-        return _factor(self.matrix(shift)).solve(-np.asarray(g, dtype=np.float64))
+    def solve(self, shift):
+        K = self.matrix(shift)
+        lu = _factor(K)
+        z = lu.solve(self.rhs)
+        if self.refine:
+            # the graded factors lose a few digits that the residual
+            # correction wins back
+            z = z + lu.solve(self.rhs - K @ z)
+        return z[: self.dim]
 
 
 class _SaddlePlan:
     """Fixed pattern of the saddle matrix [[B + mu I, J^T], [J, -omega I]]
-    with J stacked as boundary rows JP, quadrature rows Jq and linear rows
-    E, laid out as scipy's block assembly lays it out.
+    with J stacked as boundary rows JP and quadrature rows Jq, laid out as
+    scipy's block assembly lays it out.
 
     Exact zeros are left out of B + mu I and of JP (scipy's product drops
-    them), while Jq and E keep every slot they store, zero or not: those
-    zeros are structural and shape SuperLU's ordering.  JP's slots are
-    those of ``jp_mask``, its nonzero pattern over the boundary dofs.
+    them), while Jq keeps every slot it stores, zero or not: those zeros
+    are structural and shape SuperLU's ordering.  JP's slots are those of
+    ``jp_mask``, its nonzero pattern over the boundary dofs.
     """
 
-    def __init__(self, hess, jq, dim, b_dofs, jp_mask, E):
+    def __init__(self, hess, jq, dim, b_dofs, jp_mask):
         n = dim
         jr, jc = [], []
-        n_j = n_jp = n_q = 0
+        n_j = n_jp = 0
         if jp_mask is not None:
             k, a = np.nonzero(jp_mask)
             jr.append(k)
@@ -550,14 +575,7 @@ class _SaddlePlan:
             jr.append(n_j + jq.rows)
             jc.append(jq.cols)
             n_j += jq.shape[0]
-            n_q = len(jq.rows)
             del jq.rows, jq.cols
-        self.E = E
-        if E is not None:
-            coo = E.tocoo()
-            jr.append(n_j + coo.row)
-            jc.append(coo.col)
-            n_j += E.shape[0]
         # J's slots, rows offset by n: (jr, jc) below the Hessian block and
         # (jc, jr) to its right
         jr = np.concatenate(jr or [np.zeros(0)]).astype(np.int32)
@@ -565,10 +583,9 @@ class _SaddlePlan:
         jc = np.concatenate(jc or [np.zeros(0)]).astype(np.int32)
         diag = np.arange(n, dtype=np.int32)
         tail = np.arange(n, n + n_j, dtype=np.int32)
-        self.n = n + n_j
         self.indices, self.indptr, (pos_h, self.diag, lo, up, self.pos_omega) = \
-            _union_pattern(self.n, [(hess.rows, hess.cols), (diag, diag),
-                                    (jr, jc), (jc, jr), (tail, tail)])
+            _union_pattern(n + n_j, [(hess.rows, hess.cols), (diag, diag),
+                                     (jr, jc), (jc, jr), (tail, tail)])
         del jr, jc
         # the Hessian entries are summed straight into their slots, and the
         # Jq entries into one value per Jq slot that receives any, which
@@ -583,9 +600,8 @@ class _SaddlePlan:
             self.pos_jq = np.stack([lo[slots], up[slots]])
             jq.run = np.cumsum(first, dtype=np.int32) - 1
         self.hess, self.jq, self.jp_mask, self.dim = hess, jq, jp_mask, dim
-        # JP's and E's slots, below and right of the Hessian block
+        # JP's slots, below and right of the Hessian block
         self.pos_jp = np.stack([lo[:n_jp], up[:n_jp]])
-        self.pos_e = np.stack([lo[n_jp + n_q:], up[n_jp + n_q:]])
         # B's off-diagonal slots and JP's may hold a zero scipy drops
         optional = np.zeros(len(self.indices), dtype=bool)
         optional[pos_h] = True
@@ -593,54 +609,17 @@ class _SaddlePlan:
         optional[self.diag] = False
         self.optional = np.flatnonzero(optional).astype(np.int32)
 
-    def system(self, Hc, jqv, jp, C, g_smooth, omega):
+    def system(self, Hc, jqv, jp, omega, rhs):
         data = _slot_values(self.run, Hc.ravel()[self.hess.pos], len(self.indices))
         if self.jq is not None:
             data[self.pos_jq] = _slot_values(self.jq.run, jqv.ravel()[self.jq.pos],
                                              self.pos_jq.shape[1])
         if jp is not None:
             data[self.pos_jp] = jp[self.jp_mask]
-        if self.E is not None:
-            data[self.pos_e] = self.E.data
         data[self.pos_omega] = -omega
         drop = self.optional[data[self.optional] == 0]
         diag_scale = max(float(np.max(np.abs(data[self.diag]), initial=0.0)), 1.0)
-        return _SaddleSystem(**_dropped(self, data, drop), diag_scale=diag_scale,
-                             C=C, g_smooth=g_smooth, dim=self.dim)
-
-
-class _SaddleSystem(_ShiftedSystem):
-    """Newton model in augmented (primal-multiplier) form.
-
-    The condensed Hessian B + J^T J / omega is numerically unusable at
-    small omega: its large entries absorb the curvature of weakly
-    determined directions into their round-off.  The equivalent system
-
-        [ B + mu I   J^T       ] [d]   [ -g_smooth ]
-        [ J          -omega I  ] [y] = [ -C        ]
-
-    keeps every block at its natural scale, so the factorization resolves
-    those directions; eliminating y recovers exactly
-    (B + mu I + J^T J / omega) d = -(g_smooth + J^T C / omega).
-    """
-
-    FIELDS = _ShiftedSystem.FIELDS + ("C", "g_smooth", "dim")
-
-    def __init__(self, C, g_smooth, dim, **fields):
-        super().__init__(**fields)
-        self.C = C
-        self.g_smooth = g_smooth
-        self.dim = dim
-
-    def solve(self, g, shift):
-        K = self.matrix(shift)
-        lu = _factor(K)
-        rhs = np.concatenate([-self.g_smooth, -self.C])
-        z = lu.solve(rhs)
-        # one pass of iterative refinement: the graded factors lose a few
-        # digits that the residual correction wins back
-        z = z + lu.solve(rhs - K @ z)
-        return z[: self.dim]
+        return _NewtonSystem.of_plan(self, data, drop, diag_scale, rhs, refine=True)
 
 
 class TranscribedNLP:
@@ -730,6 +709,10 @@ class TranscribedNLP:
         time, and linear rows ``E x + e0``.  ``export_map`` takes the
         variables to coefficients of ``space``, ``sample_plan`` takes a
         trajectory to the variables."""
+        if E is not None and extended:
+            # the saddle form, the only one an extended transcription runs
+            # at small omega, has no rows for E
+            raise InputError("linear rows E need extended=False")
         self.problem = problem
         self.params = params if params is not None else PenaltyBarrierParams(1e-2, 1e-2)
         self.space = space
@@ -963,8 +946,7 @@ class TranscribedNLP:
         cblock = (cval * sw[None]).transpose(1, 2, 0).ravel()
         parts = [bval, cblock]
         if self.E is not None:
-            E = self._cast("E", self.E, x.dtype)
-            parts.append(E @ x + self._cast("e0", self.e0, x.dtype))
+            parts.append(self.E @ x + self.e0)
         return np.concatenate(parts)
 
     def z_quad_values(self, x) -> np.ndarray:
@@ -1060,8 +1042,7 @@ class TranscribedNLP:
             bval, bjac = self._boundary(x, 0), None
         # extra linear rows
         if self.E is not None:
-            E = self._cast("E", self.E, dt)
-            g_pen += E.T @ (E @ x + self._cast("e0", self.e0, dt)) / omega
+            g_pen += self.E.T @ (self.E @ x + self.e0) / omega
         g = g_sm + g_pen
         if not with_hessian:
             return g, None
@@ -1125,7 +1106,7 @@ class TranscribedNLP:
                     term = term.transpose(1, 2, 0)
                 Hc[hess.plane[k, k]] += term
         if not saddle:
-            return g, plan.system(Hc, jp, omega)
+            return g, plan.system(Hc, jp, omega, -np.asarray(g, dtype=np.float64))
 
         jqv = None
         if cval.size:
@@ -1134,7 +1115,8 @@ class TranscribedNLP:
             # with numpy's association of its one-pass product
             jqv = self.sqrt_w[None, :, :, None] * (cgrad64[rs, ks][..., None] * A64[ks])
         C = np.asarray(self._constraint_vector(x, cval, bval), dtype=np.float64)
-        return g, plan.system(Hc, jqv, jp, C, np.asarray(g_sm, dtype=np.float64), omega)
+        rhs = np.concatenate([-np.asarray(g_sm, dtype=np.float64), -C])
+        return g, plan.system(Hc, jqv, jp, omega, rhs)
 
     def _residual_curvature(self, cval, cout, ks, js, scale):
         """``np.einsum(_RESIDUAL_CURVATURE, cval, H, scale, optimize=True)``
@@ -1177,7 +1159,7 @@ class TranscribedNLP:
             jq = None
             if pairs is not None:
                 jq = _jacobian_sums(self.gidx, self.n_quad, pairs, self.dimension)
-            plan = _SaddlePlan(hess, jq, self.dimension, b_dofs, jp_mask, self.E)
+            plan = _SaddlePlan(hess, jq, self.dimension, b_dofs, jp_mask)
         else:
             plan = _ShiftedPlan(hess, self.dimension, b_dofs, jp_mask, self.E)
         plan.masks = masks

@@ -134,6 +134,18 @@ class TestStudy:
         assert len(csv) == 3
         assert (tmp_path / "vanderpol_pbf_study_plot.dat").exists()
 
+    @pytest.mark.parametrize("command", [["study", "--element-counts", "4", "8"], ["solve"],
+                                         ["compare", "--methods", "pbf", "lgr"]])
+    def test_infeasible_solve_exits_1(self, tmp_path, monkeypatch, command):
+        # every command requires feasibility as well as the solver's success
+        def infeasible(*args, **kwargs):
+            report = solve(*args, **kwargs)
+            assert report.success
+            return dataclasses.replace(report, r_feas=1.0)
+
+        monkeypatch.setattr(cli, "solve", infeasible)
+        assert main([command[0], *FAST, *command[1:], "--output-dir", str(tmp_path)]) == 1
+
     def test_study_needs_two_counts(self, tmp_path):
         rc = main(["study", *FAST, "--output-dir", str(tmp_path),
                    "--element-counts", "4"])

@@ -6,6 +6,7 @@ from pbfem import (
     DynamicProblem,
     InputError,
     SolverConfig,
+    TranscribedNLP,
     detect_ringing,
     initial_guess,
     radau_right,
@@ -75,6 +76,20 @@ class TestScheme:
             CollocationScheme("euler")
         with pytest.raises(InputError):
             CollocationScheme("lgr", p=0)
+
+
+@pytest.mark.parametrize("kind", ["tr", "hs"])
+def test_linear_rows_refused_in_extended_precision(monkeypatch, kind):
+    # the saddle form, which an extended transcription takes at small
+    # omega, has no rows for the linkage conditions E x + e0
+    of_tensors = TranscribedNLP._of_tensors.__func__
+    monkeypatch.setattr(TranscribedNLP, "_of_tensors", classmethod(
+        lambda cls, *args, **kwargs: of_tensors(cls, *args, **{**kwargs, "extended": True})))
+    with pytest.raises(InputError, match="extended=False"):
+        transcribe_collocation(decay_problem(), uniform_mesh(0.0, 1.0, 4), CollocationScheme(kind))
+    monkeypatch.undo()
+    assert transcribe_collocation(decay_problem(), uniform_mesh(0.0, 1.0, 4),
+                                  CollocationScheme(kind)).E is not None
 
 
 class TestAccuracy:

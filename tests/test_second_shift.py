@@ -41,7 +41,7 @@ def first_refusal(monkeypatch, kind, n):
     """The Newton system, gradient and first shift of the first direction
     call of a pendulum-a solve that SuperLU refuses at that shift."""
     def direction(system, g, floor, mu, ahead=None):
-        if solver._trial(system, g, mu) is None:
+        if solver._trial(system, mu) is None:
             raise _Found(system, g, mu)
         return newton_direction(system, g, floor, mu, ahead)
 
@@ -59,11 +59,11 @@ def ladder(system, g, mu, worker):
     the second shift given to a worker or not."""
     tried = []
     local = system.solve
-    system.solve = lambda g, shift: tried.append(shift) or local(g, shift)
+    system.solve = lambda shift: tried.append(shift) or local(shift)
     ahead = None
     if worker:
         ahead = solver._SecondShift()
-        ahead.after(system, g, needed_second=True)
+        ahead.after(system, needed_second=True)
         assert ahead._drain()  # the worker is ready
     try:
         d, shift = solver._newton_direction(system, g, REGULARIZATION_FLOOR, mu, ahead)
@@ -126,63 +126,66 @@ class TestSameBits:
         assert tried1 == tried0[:1] + tried0[2:]
 
     def test_saddle_system_round_trip(self):
-        # the FE saddle form, with its multiplier fields and a gradient in
-        # extended precision where np.longdouble has it
+        # the FE saddle form, with its multiplier rows and its refinement
+        # pass, from a gradient in extended precision where np.longdouble
+        # has it
         nlp, start = pendulum_nlp("pbf", 3)
         nlp.params = PenaltyBarrierParams(1e-6, 1e-6)
         g, system = nlp.newton_system(nlp.interior_push(nlp.from_trajectory(start), 1e-6))
-        assert type(system).__name__ == "_SaddleSystem"
+        assert system.refine and len(system.rhs) > system.dim
         ahead = solver._SecondShift()
-        ahead.after(system, g, needed_second=True)
+        ahead.after(system, needed_second=True)
         assert ahead._drain()
         try:
-            assert ahead.submit(system, g, 1e-3)
-            d = ahead.take(system, g, 1e-3)
+            assert ahead.submit(system, 1e-3)
+            d = ahead.take(system, 1e-3)
         finally:
             ahead.close()
-        assert same_bits(d, system.solve(g, 1e-3))
+        assert same_bits(d, system.solve(1e-3))
 
     def test_system_with_replaced_solve_ships(self, monkeypatch):
-        # a tracer replaces solve on the instance; only FIELDS are shipped
+        # a tracer replaces solve on the instance; only the system's
+        # fields are shipped, its right-hand side among them
         system, g, mu = first_refusal(monkeypatch, "lgr", 3)
         second = solver._next_shift(mu, REGULARIZATION_FLOOR, system.diag_scale)
 
-        def first_only(g, shift):
+        def first_only(shift):
             assert shift == mu, "the second shift is the worker's"
-            return type(system).solve(system, g, shift)
+            return type(system).solve(system, shift)
 
         system.solve = first_only
-        arrays, places, scalars, size = solver._shipment(system, g)
-        assert "solve" not in scalars and [p[0] for p in places][0] == "g"
+        arrays, places, scalars, size = solver._shipment(system)
+        assert set(scalars) == {"diag_scale", "dim", "refine"}
+        assert "rhs" in [p[0] for p in places]
         ahead = solver._SecondShift()
-        ahead.after(system, g, needed_second=True)
+        ahead.after(system, needed_second=True)
         assert ahead._drain()
         try:
             d, shift = solver._newton_direction(system, g, REGULARIZATION_FLOOR, mu, ahead)
         finally:
             ahead.close()
         assert shift == second
-        assert same_bits(d, type(system).solve(system, g, second))
+        assert same_bits(d, type(system).solve(system, second))
 
 
 @needs_worker
 def test_trials_stop_in_a_stage_where_they_do_not_pay(monkeypatch):
     system, g, mu = first_refusal(monkeypatch, "lgr", 3)
     ahead = solver._SecondShift()
-    ahead.after(system, g, needed_second=True)
+    ahead.after(system, needed_second=True)
     assert ahead._drain()
     # the worker reports its trial as free: waiting for it did not pay
     receive = ahead._receive
     monkeypatch.setattr(ahead, "_receive", lambda: (*receive()[:2], 0.0))
     try:
-        assert ahead.submit(system, g, 1.0)
-        ahead.take(system, g, 1.0)
+        assert ahead.submit(system, 1.0)
+        ahead.take(system, 1.0)
         assert not ahead.paid
-        ahead.after(system, g, needed_second=True)
-        assert not ahead.submit(system, g, 1.0)
+        ahead.after(system, needed_second=True)
+        assert not ahead.submit(system, 1.0)
         ahead.new_stage()
-        ahead.after(system, g, needed_second=True)
-        assert ahead.paid and ahead.submit(system, g, 1.0)
+        ahead.after(system, needed_second=True)
+        assert ahead.paid and ahead.submit(system, 1.0)
     finally:
         ahead.close()
 

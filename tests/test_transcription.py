@@ -165,7 +165,7 @@ class TestGradients:
         nlp = TranscribedNLP(prob, space, params=PenaltyBarrierParams(1e-2, 1e-2))
         x = interior_coeffs(nlp, space, seed=7)
         g, H = nlp.newton_system(x)
-        d = H.solve(g, 1e-8 * H.diag_scale)
+        d = H.solve(1e-8 * H.diag_scale)
         assert float(g @ d) < 0.0
 
 
