@@ -184,8 +184,8 @@ def _unary(x: Dual, f0, f1, f2):
     return Dual._new(f0, x.sup, f1 * x.g, hess, x.m)
 
 
-def seed(values, m: int, offset: int = 0, second_order: bool = False):
-    """Seed ``k`` components as Duals with unit directions ``offset..offset+k-1``.
+def seed(values, m: int, second_order: bool = False):
+    """Seed ``k`` components as Duals with unit directions ``0..k-1``.
 
     ``values`` is array-like of shape ``(k,)`` or ``(k, n)``; returns a list
     of ``k`` Duals sharing the total seed dimension ``m``, each supported on
@@ -195,7 +195,7 @@ def seed(values, m: int, offset: int = 0, second_order: bool = False):
     if not np.issubdtype(values.dtype, np.floating):
         values = values.astype(float)
     g, h = _seed_derivatives(values.shape[1:], values.dtype, second_order)
-    return [Dual._new(values[i], (offset + i,), g, h, m) for i in range(values.shape[0])]
+    return [Dual._new(values[i], (i,), g, h, m) for i in range(values.shape[0])]
 
 
 @lru_cache(maxsize=64)

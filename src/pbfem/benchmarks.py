@@ -152,7 +152,9 @@ def _builders():
             # the indefinite objective leaves a nearly flat landscape around
             # many stationary controls; starting the continuation at the
             # strongest admissible stage keeps the descent path reproducible
-            # across meshes
+            # across meshes (without it the p = 5 PBF solve ends at
+            # F_h = -0.07363 with control error 2.507 on 20 and on 100
+            # elements, against -1.01901 and about 1e-9 with it)
             {"singular_window": (0.0, 0.5 * np.pi),
              "solver_hints": {"continuation_start": 0.5}},
         ),

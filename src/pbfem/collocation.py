@@ -91,128 +91,94 @@ def _node_based_nlp(problem, mesh, params, with_midpoints):
     S = len(times)
     per = 2 * ny + nz
     dim = S * per
-
-    def y_var(i, j):
-        return i * per + j
-
-    def v_var(i, j):
-        return i * per + ny + j
-
-    def z_var(i, j):
-        return i * per + 2 * ny + j
+    # the variables of each node: its states, slopes and algebraic variables
+    var = np.arange(dim).reshape(S, per)
+    Y, V, Z = var[:, :ny].T, var[:, ny:2 * ny].T, var[:, 2 * ny:].T  # (component, node)
+    # the nodes of each interval: its ends, and the midpoint between them for HS
+    step = 2 if with_midpoints else 1
+    seg = step * np.arange(N)[:, None] + np.arange(step + 1)
+    l, r = seg[:, 0], seg[:, -1]
 
     # integration weights at the nodes (trapezoid / Simpson)
     w = np.zeros(S)
-    for i in range(N):
-        if with_midpoints:
-            l, m_, r = 2 * i, 2 * i + 1, 2 * i + 2
-            w[l] += h[i] / 6.0
-            w[m_] += 4.0 * h[i] / 6.0
-            w[r] += h[i] / 6.0
-        else:
-            w[i] += h[i] / 2.0
-            w[i + 1] += h[i] / 2.0
+    w_end = h / 6.0 if with_midpoints else h / 2.0
+    w[l] += w_end
+    w[r] += w_end
+    if with_midpoints:
+        w[1::2] = 4.0 * h / 6.0
 
-    m = per
-    A = np.ones((m, S, 1, 1))
-    gidx = np.empty((m, S, 1), dtype=int)
-    for j in range(ny):
-        gidx[j, :, 0] = [v_var(i, j) for i in range(S)]
-        gidx[ny + j, :, 0] = [y_var(i, j) for i in range(S)]
-    for j in range(nz):
-        gidx[2 * ny + j, :, 0] = [z_var(i, j) for i in range(S)]
+    A = np.ones((per, S, 1, 1))
+    gidx = np.concatenate([V, Y, Z])[:, :, None]
 
     # linkage rows, scaled by h^(-1/2) so their penalty weight matches the
-    # sqrt-quadrature-weight scaling of the nodal residuals
-    rows, cols, data = [], [], []
-    r = 0
-
-    def add(row_entries):
-        nonlocal r
-        for col, val in row_entries:
-            rows.append(r)
-            cols.append(col)
-            data.append(val)
-        r += 1
-
-    for i in range(N):
-        s = 1.0 / np.sqrt(h[i])
-        if with_midpoints:
-            l, m_, rr = 2 * i, 2 * i + 1, 2 * i + 2
-            for j in range(ny):
-                # midpoint interpolation condition of the Hermite cubic
-                add([(y_var(m_, j), s), (y_var(l, j), -0.5 * s), (y_var(rr, j), -0.5 * s),
-                     (v_var(l, j), -h[i] / 8.0 * s), (v_var(rr, j), h[i] / 8.0 * s)])
-                # Simpson increment condition
-                add([(y_var(rr, j), s), (y_var(l, j), -s),
-                     (v_var(l, j), -h[i] / 6.0 * s), (v_var(m_, j), -4.0 * h[i] / 6.0 * s),
-                     (v_var(rr, j), -h[i] / 6.0 * s)])
-        else:
-            for j in range(ny):
-                add([(y_var(i + 1, j), s), (y_var(i, j), -s),
-                     (v_var(i, j), -0.5 * h[i] * s), (v_var(i + 1, j), -0.5 * h[i] * s)])
-    E = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(r, dim))
-    e0 = np.zeros(r)
+    # sqrt-quadrature-weight scaling of the nodal residuals; each kind of
+    # row lists its entries as (columns per component and interval, values
+    # per interval), and there is one row per (interval, component, kind)
+    s = 1.0 / np.sqrt(h)
+    if with_midpoints:
+        mid = seg[:, 1]
+        link = [
+            # midpoint interpolation condition of the Hermite cubic
+            [(Y[:, mid], s), (Y[:, l], -0.5 * s), (Y[:, r], -0.5 * s),
+             (V[:, l], -h / 8.0 * s), (V[:, r], h / 8.0 * s)],
+            # Simpson increment condition
+            [(Y[:, r], s), (Y[:, l], -s),
+             (V[:, l], -h / 6.0 * s), (V[:, mid], -4.0 * h / 6.0 * s), (V[:, r], -h / 6.0 * s)],
+        ]
+    else:
+        link = [[(Y[:, r], s), (Y[:, l], -s), (V[:, l], -0.5 * h * s), (V[:, r], -0.5 * h * s)]]
+    cols = np.stack([np.stack([c.T for c, _ in kind], -1) for kind in link], 2)
+    vals = np.stack([np.stack([v for _, v in kind], -1) for kind in link], 1)[:, None]
+    n_link, k = cols.size // cols.shape[-1], cols.shape[-1]
+    E = scipy.sparse.csr_matrix(
+        (np.broadcast_to(vals, cols.shape).ravel(), (np.repeat(np.arange(n_link), k), cols.ravel())),
+        shape=(n_link, dim))
+    e0 = np.zeros(n_link)
 
     # point-constraint evaluation by linear interpolation between nodes
     point_eval = []
     for tk in problem.point_times:
         i = int(np.clip(np.searchsorted(times, tk, side="left") - 1, 0, S - 2))
         theta = (tk - times[i]) / (times[i + 1] - times[i])
-        per_point = []
-        for j in range(ny):
-            per_point.append((
-                np.array([y_var(i, j), y_var(i + 1, j)]),
-                np.array([1.0 - theta, theta]),
-            ))
-        point_eval.append(per_point)
+        weights = np.array([1.0 - theta, theta])
+        point_eval.append([(Y[j, i:i + 2], weights) for j in range(ny)])
 
-    z_idx = np.array([z_var(i, j) for i in range(S) for j in range(nz)], dtype=int)
-
-    p_exp = 3 if with_midpoints else 1
-    space = FESpace(mesh, p_exp, ny, nz, z_continuous=True)
-    gl = np.array(space.ref_nodes)
+    space = FESpace(mesh, 3 if with_midpoints else 1, ny, nz, z_continuous=True)
+    if with_midpoints:
+        # Hermite cubic for the states and the quadratic through the
+        # interval's three nodes for the algebraic variables, at the FE nodes
+        s01 = 0.5 * (space.ref_nodes + 1.0)
+        h00 = 2 * s01**3 - 3 * s01**2 + 1
+        h10 = s01**3 - 2 * s01**2 + s01
+        h01 = -2 * s01**3 + 3 * s01**2
+        h11 = s01**3 - s01**2
+        B3 = basis_matrix((-1.0, 0.0, 1.0), space.ref_nodes)
+    Y_seg, V_seg, Z_seg = Y[:, seg], V[:, seg], Z[:, seg]  # (component, interval, node)
 
     def export_map(x):
         coeffs = space.zero_coeffs()
-        for b in range(N):
-            a, c = mesh.nodes[b], mesh.nodes[b + 1]
-            hb = c - a
-            if with_midpoints:
-                l, m_, rr = 2 * b, 2 * b + 1, 2 * b + 2
-                for j in range(ny):
-                    yl, yr = x[y_var(l, j)], x[y_var(rr, j)]
-                    vl, vr = x[v_var(l, j)], x[v_var(rr, j)]
-                    # Hermite cubic on the interval, sampled at the FE nodes
-                    s01 = 0.5 * (gl + 1.0)
-                    h00 = 2 * s01**3 - 3 * s01**2 + 1
-                    h10 = s01**3 - 2 * s01**2 + s01
-                    h01 = -2 * s01**3 + 3 * s01**2
-                    h11 = s01**3 - s01**2
-                    coeffs[space.y_dofs[j, b]] = h00 * yl + h10 * hb * vl + h01 * yr + h11 * hb * vr
-                for j in range(nz):
-                    zl, zm, zr = x[z_var(l, j)], x[z_var(m_, j)], x[z_var(rr, j)]
-                    B3 = basis_matrix((-1.0, 0.0, 1.0), gl)
-                    coeffs[space.z_dofs[j, b]] = B3 @ np.array([zl, zm, zr])
-            else:
-                for j in range(ny):
-                    coeffs[space.y_dofs[j, b]] = [x[y_var(b, j)], x[y_var(b + 1, j)]]
-                for j in range(nz):
-                    coeffs[space.z_dofs[j, b]] = [x[z_var(b, j)], x[z_var(b + 1, j)]]
+        if with_midpoints:
+            yl, yr = x[Y_seg[..., :1]], x[Y_seg[..., 2:]]
+            vl, vr = x[V_seg[..., :1]], x[V_seg[..., 2:]]
+            hb = h[:, None]
+            coeffs[space.y_dofs] = h00 * yl + h10 * hb * vl + h01 * yr + h11 * hb * vr
+            coeffs[space.z_dofs] = np.matmul(B3, x[Z_seg][..., None])[..., 0]
+        else:
+            coeffs[space.y_dofs] = x[Y_seg]
+            coeffs[space.z_dofs] = x[Z_seg]
         return coeffs
 
     def sample_plan(trajectory):
         x = np.zeros(dim)
-        t = times
         for j in range(ny):
-            x[[y_var(i, j) for i in range(S)]] = trajectory.component(j, t)
-            x[[v_var(i, j) for i in range(S)]] = trajectory.component(j, t, 1)
+            x[Y[j]] = trajectory.component(j, times)
+            x[V[j]] = trajectory.component(j, times, 1)
         for j in range(nz):
-            x[[z_var(i, j) for i in range(S)]] = trajectory.component(ny + j, t)
+            x[Z[j]] = trajectory.component(ny + j, times)
         return x
 
     return TranscribedNLP._of_tensors(problem, params, space, export_map, sample_plan, A, gidx,
-                                      w[:, None], times[:, None], dim, z_idx,
+                                      w[:, None], times[:, None], dim, Z.T.ravel(),
                                       point_eval if problem.n_b else [], E, e0, extended=False)
 
 
@@ -228,34 +194,22 @@ def _lgr_nlp(problem, mesh, scheme, params):
     local = np.concatenate(([-1.0], nodes_r))  # p+1 state nodes per interval
 
     n_y_dofs = N * p + 1
-    n_z_dofs = N * p
-    dim = ny * n_y_dofs + nz * n_z_dofs
-
-    def y_dof(j, b, l):  # local l in 0..p over `local`
-        return j * n_y_dofs + b * p + l
-
-    def z_dof(j, b, q):  # q in 0..p-1 over the Radau nodes
-        return ny * n_y_dofs + j * n_z_dofs + b * p + q
+    dim = ny * n_y_dofs + nz * N * p
+    # state dofs per (component, interval, local node over `local`), and
+    # algebraic dofs per (component, interval, Radau node)
+    y_dofs = np.arange(ny * n_y_dofs).reshape(ny, n_y_dofs)
+    Y = y_dofs[:, p * np.arange(N)[:, None] + np.arange(p + 1)]
+    Z = np.arange(ny * n_y_dofs, dim).reshape(nz, N, p)
 
     Bv = basis_matrix(tuple(local), nodes_r)  # (p, p+1)
     Bd = basis_deriv_matrix(tuple(local), nodes_r)
 
-    m = 2 * ny + nz
-    L = p + 1
-    A = np.zeros((m, N, p, L))
-    gidx = np.zeros((m, N, L), dtype=int)
-    for j in range(ny):
-        A[j] = Bd[None] * (2.0 / h)[:, None, None]
-        A[ny + j] = Bv[None]
-        for b in range(N):
-            gidx[j, b] = [y_dof(j, b, l) for l in range(L)]
-        gidx[ny + j] = gidx[j]
-    for j in range(nz):
-        for q in range(p):
-            A[2 * ny + j, :, q, q] = 1.0
-        for b in range(N):
-            gidx[2 * ny + j, b, :p] = [z_dof(j, b, q) for q in range(p)]
-            gidx[2 * ny + j, b, p] = z_dof(j, b, 0)  # padding, zero weight
+    A = np.zeros((2 * ny + nz, N, p, p + 1))
+    A[:ny] = Bd * (2.0 / h)[:, None, None]
+    A[ny:2 * ny] = Bv
+    A[2 * ny:, :, :, :p] = np.eye(p)
+    # the algebraic rows read their Radau nodes, padded by the first (zero weight)
+    gidx = np.concatenate([Y, Y, np.concatenate([Z, Z[:, :, :1]], axis=2)])
 
     mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     tq = mids[:, None] + 0.5 * h[:, None] * nodes_r[None, :]
@@ -263,45 +217,37 @@ def _lgr_nlp(problem, mesh, scheme, params):
 
     point_eval = []
     for tk in problem.point_times:
-        b = int(np.clip(np.searchsorted(mesh.nodes, tk, side="left") - 1, 0, N - 1))
+        b = int(mesh.interval_index(tk))
         a, c = mesh.nodes[b], mesh.nodes[b + 1]
         ref = (2.0 * tk - (a + c)) / (c - a)
         row = basis_matrix(tuple(local), [ref])[0]
-        per_point = []
-        for j in range(ny):
-            per_point.append((np.array([y_dof(j, b, l) for l in range(L)]), row))
-        point_eval.append(per_point)
+        point_eval.append([(Y[j, b], row) for j in range(ny)])
 
     space = FESpace(mesh, p, ny, nz, z_continuous=False)
-    gl = np.array(space.ref_nodes)
-    By = basis_matrix(tuple(local), gl)  # (p+1, p+1)
-    Bz = basis_matrix(tuple(nodes_r), gl)  # (p+1, p)
+    By = basis_matrix(tuple(local), space.ref_nodes)  # (p+1, p+1)
+    Bz = basis_matrix(tuple(nodes_r), space.ref_nodes)  # (p+1, p)
 
     def export_map(x):
         coeffs = space.zero_coeffs()
-        for b in range(N):
-            for j in range(ny):
-                vals = x[[y_dof(j, b, l) for l in range(p + 1)]]
-                coeffs[space.y_dofs[j, b]] = By @ vals
-            for j in range(nz):
-                vals = x[[z_dof(j, b, q) for q in range(p)]]
-                coeffs[space.z_dofs[j, b]] = Bz @ vals
+        coeffs[space.y_dofs] = np.matmul(By, x[Y][..., None])[..., 0]
+        coeffs[space.z_dofs] = np.matmul(Bz, x[Z][..., None])[..., 0]
         return coeffs
+
+    # the time at which each state dof samples a trajectory: a dof shared
+    # by two intervals takes the right interval's left node
+    ty = mids[:, None] + 0.5 * h[:, None] * local[None, :]
+    t_y = np.append(ty[:, :p], ty[-1, p])
 
     def sample_plan(trajectory):
         x = np.zeros(dim)
-        for b in range(N):
-            a, c = mesh.nodes[b], mesh.nodes[b + 1]
-            ty = 0.5 * (a + c) + 0.5 * (c - a) * local
-            tz = 0.5 * (a + c) + 0.5 * (c - a) * nodes_r
-            for j in range(ny):
-                x[[y_dof(j, b, l) for l in range(p + 1)]] = trajectory.component(j, ty)
-            for j in range(nz):
-                x[[z_dof(j, b, q) for q in range(p)]] = trajectory.component(ny + j, tz)
+        for j in range(ny):
+            x[y_dofs[j]] = trajectory.component(j, t_y)
+        for j in range(nz):
+            x[Z[j]] = trajectory.component(ny + j, tq.ravel()).reshape(N, p)
         return x
 
     return TranscribedNLP._of_tensors(problem, params, space, export_map, sample_plan, A, gidx,
-                                      w, tq, dim, np.arange(ny * n_y_dofs, dim),
+                                      w, tq, dim, Z.ravel(),
                                       point_eval if problem.n_b else [], extended=False)
 
 

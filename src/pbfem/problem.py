@@ -121,20 +121,17 @@ class BolzaProblem:
     ``inputs`` declares each control channel as ``"free"`` (unrestricted),
     ``("box", lo, hi)``, or ``"nonneg"``.  ``f_r(chidot, chi, u, xi, tau)``
     is the running cost; ``f_E(chi, xi, tau)`` the terminal cost evaluated
-    at the final time, with ``f_E_grad`` returning its partial derivatives
-    ``(dchi_list, dtau)`` (needed to restate the terminal cost as an
-    integrated state).  ``c_e`` and ``c_i`` share the running-cost
-    signature; inequality rows are interpreted as c_i <= 0.  ``b_B``
-    receives one state-value sequence per point, then ``xi, tau0, tauE``.
-    Point times are given as fractions of the horizon in [0, 1] so they
-    stay meaningful when end times are free.
+    at the final time, which must then be the last point.  ``c_e`` and
+    ``c_i`` share the running-cost signature; inequality rows are
+    interpreted as c_i <= 0.  ``b_B`` receives one state-value sequence per
+    point, then ``xi, tau0, tauE``.  Point times are given as fractions of
+    the horizon in [0, 1] so they stay meaningful when end times are free.
     """
 
     n_chi: int
     inputs: tuple
     f_r: callable = None
     f_E: callable = None
-    f_E_grad: callable = None
     c_e: callable = None
     n_ce: int = 0
     c_i: callable = None
@@ -152,8 +149,8 @@ class BolzaProblem:
     def __post_init__(self):
         if self.n_chi < 0 or self.n_xi < 0:
             raise InputError("dimensions must be nonnegative")
-        if self.f_E is not None and self.f_E_grad is None:
-            raise InputError("a terminal cost needs f_E_grad for the conversion")
+        if self.f_E is not None and self.point_fracs[-1] != 1.0:
+            raise InputError("a terminal cost needs the final time as the last point")
         for spec in self.inputs:
             if spec == "free" or spec == "nonneg":
                 continue
@@ -169,12 +166,13 @@ class BolzaProblem:
 def convert_bolza(bolza: BolzaProblem) -> DynamicProblem:
     """Restate a Bolza problem in the canonical form on the unit horizon.
 
-    The terminal cost becomes an integrated extra state pinned to zero at
-    the start; inequalities gain nonnegative slacks; free inputs are split
-    into differences of nonnegative channels and boxed inputs into
-    complementary nonnegative pairs; parameters and free end times become
-    constant states with zero-derivative rows.  Physical time is recovered
-    as tau = tau0 + (tauE - tau0) * t.
+    The terminal cost becomes a constant state phi, pinned to f_E at the
+    last point and integrated over the unit horizon; inequalities gain
+    nonnegative slacks; free inputs are split into differences of
+    nonnegative channels and boxed inputs into complementary nonnegative
+    pairs; phi, the parameters and free end times are constant states with
+    zero-derivative rows.  Physical time is recovered as
+    tau = tau0 + (tauE - tau0) * t.
     """
     nx = bolza.n_chi
     has_phi = bolza.f_E is not None
@@ -202,9 +200,8 @@ def convert_bolza(bolza: BolzaProblem) -> DynamicProblem:
     i_slack = pos
     n_z = pos + bolza.n_ci
 
-    n_const = bolza.n_xi + (1 if bolza.free_tau0 else 0) + (1 if bolza.free_tauE else 0)
     n_box = sum(1 for m in z_map if m[0] == "box")
-    n_c = bolza.n_ce + bolza.n_ci + n_box + (1 if has_phi else 0) + n_const
+    n_c = bolza.n_ce + bolza.n_ci + n_box + n_y - nx  # the constant states follow chi
     n_b = bolza.n_bB + (1 if has_phi else 0)
 
     def _times(y, t):
@@ -237,7 +234,7 @@ def convert_bolza(bolza: BolzaProblem) -> DynamicProblem:
         if bolza.f_r is not None:
             total = delta * bolza.f_r(chidot, chi, u, xi, tau)
         if has_phi:
-            total = total + ydot[i_phi]
+            total = total + y[i_phi]
         return total
 
     def c(ydot, y, z, t):
@@ -251,14 +248,7 @@ def convert_bolza(bolza: BolzaProblem) -> DynamicProblem:
         for m in z_map:
             if m[0] == "box":
                 rows.append(z[m[1]] + z[m[2]] - (m[4] - m[3]))
-        if has_phi:
-            dchi, dtau = bolza.f_E_grad(chi, xi, tau)
-            rate = delta * dtau
-            for j in range(nx):
-                rate = rate + dchi[j] * chidot[j] * delta
-            rows.append(ydot[i_phi] - rate)
-        for j in range(n_const):
-            rows.append(ydot[i_xi + j])
+        rows.extend(ydot[nx:])
         return rows
 
     def b(*ys):
@@ -270,7 +260,8 @@ def convert_bolza(bolza: BolzaProblem) -> DynamicProblem:
             chis = [[yk[j] for j in range(nx)] for yk in ys]
             rows.extend(bolza.b_B(*chis, xi, t0, tE))
         if has_phi:
-            rows.append(ys[0][i_phi])
+            chi_E = [ys[-1][j] for j in range(nx)]
+            rows.append(ys[-1][i_phi] - bolza.f_E(chi_E, xi, tE))
         return rows
 
     meta = dict(bolza.metadata)

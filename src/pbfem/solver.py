@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .analysis import optimality_gap
 from .errors import BarrierDomainError, InputError
 from .mesh import Trajectory
 from .problem import feasibility_residual_exact
@@ -541,14 +542,12 @@ def solve(nlp, initial, config: SolverConfig | None = None,
     trajectory = nlp.to_trajectory(x)
     F_h = float(nlp.objective(x))
     r_feas = feasibility_residual_exact(nlp.problem, trajectory)
-    g_opt = None
-    if reference_objective is not None:
-        g_opt = max(F_h - reference_objective, 0.0)
     return SolveReport(
         trajectory=trajectory,
         F_h=F_h,
         r_feas=r_feas,
-        g_opt=g_opt,
+        g_opt=(optimality_gap(F_h, reference_objective)
+               if reference_objective is not None else None),
         status=status,
         stages=report_stages,
         wall_time=time.perf_counter() - t_start,

@@ -86,7 +86,7 @@ def _unary(x, f0, f1, f2):
     return DenseDual(f0, f1 * x.grad, hess)
 
 
-def seed(values, m, offset=0, second_order=False):
+def seed(values, m, second_order=False):
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.floating):
         values = values.astype(float)
@@ -94,7 +94,7 @@ def seed(values, m, offset=0, second_order=False):
     out = []
     for i in range(values.shape[0]):
         g = np.zeros((m,) + tail, dtype=values.dtype)
-        g[offset + i] = 1.0
+        g[i] = 1.0
         h = np.zeros((m, m) + tail, dtype=values.dtype) if second_order else None
         out.append(DenseDual(values[i], g, h))
     return out

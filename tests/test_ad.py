@@ -150,15 +150,9 @@ PARITY_SHAPES = {"scalar": ((), 1.25), "batch": ((3, 4), np.arange(1.0, 5.0))}
 def _parity_inputs(lib, shape, second_order, dtype):
     """Seeds over m = 6 directions with mixed supports: a on direction 0,
     b and c on 2 and 3, d on 5; directions 1 and 4 stay unused."""
-    rng = np.random.default_rng(5)
-
-    def vals(k):
-        return rng.uniform(0.5, 1.5, (k,) + shape).astype(dtype)
-
-    (a,) = lib.seed(vals(1), 6, 0, second_order)
-    b, c = lib.seed(vals(2), 6, 2, second_order)
-    (d,) = lib.seed(vals(1), 6, 5, second_order)
-    return {"a": a, "b": b, "c": c, "d": d}
+    vals = np.random.default_rng(5).uniform(0.5, 1.5, (6,) + shape).astype(dtype)
+    s = lib.seed(vals, 6, second_order)
+    return {"a": s[0], "b": s[2], "c": s[3], "d": s[5]}
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_EXPRESSIONS))

@@ -8,7 +8,7 @@ from pbfem import (FESpace, SolverConfig, Trajectory, TranscribedNLP,
                    best_approximation, cli, solve, uniform_mesh)
 from pbfem.benchmarks import build
 from pbfem.cli import RunConfig, main
-from pbfem.errors import BarrierDomainError
+from pbfem.errors import BarrierDomainError, EvaluationError
 
 
 FAST = ["--problem", "vanderpol", "--method", "pbf", "--elements", "4",
@@ -145,6 +145,37 @@ class TestStudy:
 
         monkeypatch.setattr(cli, "solve", infeasible)
         assert main([command[0], *FAST, *command[1:], "--output-dir", str(tmp_path)]) == 1
+
+    def _study(self, tmp_path, monkeypatch, capsys, patched):
+        monkeypatch.setattr(cli, "solve_benchmark", patched)
+        rc = main(["study", *FAST, "--output-dir", str(tmp_path), "--element-counts", "4", "8"])
+        csv = (tmp_path / "vanderpol_pbf_study.csv").read_text().splitlines()
+        return rc, capsys.readouterr().out.splitlines(), csv
+
+    def test_failed_count_exits_1_and_writes_the_others(self, tmp_path, monkeypatch, capsys):
+        real = cli.solve_benchmark
+
+        def failing_at_4(config, spec, *args, **kwargs):
+            if config.n_elements == 4:
+                raise EvaluationError("non-finite objective integrand at t = 0.5", 0.5)
+            return real(config, spec, *args, **kwargs)
+
+        rc, out, csv = self._study(tmp_path, monkeypatch, capsys, failing_at_4)
+        assert rc == 1
+        assert out[0] == "n=4: failed (non-finite objective integrand at t = 0.5)"
+        assert out[1].startswith("n=8: status=") and len(out) == 2
+        assert len(csv) == 2 and csv[1].split(",")[1] == "8"
+
+    def test_rising_r_feas_is_flagged(self, tmp_path, monkeypatch, capsys):
+        real = cli.solve_benchmark
+
+        def rising(config, spec, *args, **kwargs):
+            report = real(config, spec, *args, **kwargs)
+            return dataclasses.replace(report, r_feas=1e-9 * config.n_elements)
+
+        rc, out, csv = self._study(tmp_path, monkeypatch, capsys, rising)
+        assert rc == 0 and len(csv) == 3
+        assert out[-1] == "flagged: r_feas does not decrease monotonically under refinement"
 
     def test_study_needs_two_counts(self, tmp_path):
         rc = main(["study", *FAST, "--output-dir", str(tmp_path),

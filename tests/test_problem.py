@@ -98,18 +98,54 @@ class TestBolzaConversion:
             n_chi=1,
             inputs=(("box", -1.0, 1.0),),
             f_E=lambda chi, xi, tau: tau,
-            f_E_grad=lambda chi, xi, tau: ([0.0], 1.0),
             c_e=lambda chidot, chi, u, xi, tau: [chidot[0] - u[0]],
             n_ce=1,
             free_tauE=True,
         )
         prob = convert_bolza(bolza)
-        # Mayer state phi integrates delta * dtau/dt = tE - t0, i.e. the
-        # horizon length itself: a pure time objective
+        # phi is pinned to the free final time tE: a pure time objective
         assert prob.t0 == 0.0 and prob.tE == 1.0
         layout = prob.metadata["bolza"]
         assert layout["i_phi"] == 1
         assert prob.n_y == 3  # chi, phi, free tauE
+        assert [ad.value(r) for r in prob.b([0.0, 2.5, 2.5], [1.0, 2.5, 2.5])] == [0.0]
+        assert ad.value(prob.f([0.0, 0.0, 0.0], [0.5, 2.5, 2.5], [0.5, 0.5], 0.3)) == 2.5
+        # chidot = 0.5 / 2.5 = u = -1 + 1.2, and the constant-state rows of phi and tE
+        rows = [ad.value(r) for r in prob.c([0.5, 0.0, 0.0], [0.5, 2.5, 2.5], [1.2, 0.8], 0.3)]
+        assert np.allclose(rows, 0.0) and len(rows) == 4
+        assert [ad.value(r) for r in prob.c([0.5, 0.25, -0.5], [0.5, 2.5, 2.5],
+                                            [1.2, 0.8], 0.3)[2:]] == [0.25, -0.5]
+
+    def test_terminal_cost_is_the_objective(self):
+        # minimize chi(1)^2 with chidot = u and chi(0) = 1: the constant
+        # trajectory chi = 1, u = 0 has Bolza objective 1
+        bolza = BolzaProblem(
+            n_chi=1,
+            inputs=("free",),
+            f_E=lambda chi, xi, tau: chi[0] ** 2,
+            c_e=lambda chidot, chi, u, xi, tau: [chidot[0] - u[0]],
+            n_ce=1,
+            b_B=lambda chi0, chiE, xi, t0, tE: [chi0[0] - 1.0],
+            n_bB=1,
+        )
+        prob = convert_bolza(bolza)
+        assert (prob.n_y, prob.n_c, prob.n_b) == (2, 2, 2)  # chi, phi; phi' = 0; phi = f_E
+        ydot, y, z = [0.0, 0.0], [1.0, 1.0], [0.5, 0.5]
+        assert [ad.value(r) for r in prob.c(ydot, y, z, 0.5)] == [0.0, 0.0]
+        assert [ad.value(r) for r in prob.b(y, y)] == [0.0, 0.0]
+        # phi = 0 no longer satisfies b
+        assert [ad.value(r) for r in prob.b([1.0, 0.0], [1.0, 0.0])] == [0.0, -1.0]
+        # a constant integrand over the unit horizon: the objective is phi
+        t = np.linspace(0.0, 1.0, 5)
+        assert [ad.value(prob.f(ydot, y, z, tk)) for tk in t] == [1.0] * 5
+        # phi follows chi at the final time, not at the start
+        assert ad.value(prob.b([1.0, 4.0], [2.0, 4.0])[1]) == 0.0
+        assert ad.value(prob.c([0.0, 3.0], y, z, 0.5)[1]) == 3.0
+
+    def test_terminal_cost_needs_final_point(self):
+        with pytest.raises(InputError):
+            BolzaProblem(n_chi=1, inputs=("free",), f_E=lambda chi, xi, tau: chi[0],
+                         point_fracs=(0.0, 0.5))
 
     def test_identity_like(self):
         bolza = BolzaProblem(
