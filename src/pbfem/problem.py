@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ad
 from .errors import InputError
-from .quadrature import gauss_legendre
+from .quadrature import _row_dots, gauss_legendre
 
 __all__ = [
     "DynamicProblem",
@@ -94,15 +94,26 @@ def feasibility_residual_exact(problem: DynamicProblem, trajectory) -> float:
     """
     space = trajectory.space
     rule = gauss_legendre(2 * space.p + 4)
+    # every interval's rule at once, as ``rule.mapped`` maps it
+    a, bb = space.mesh.nodes[:-1, None], space.mesh.nodes[1:, None]
+    half = 0.5 * (bb - a)
+    t = 0.5 * (a + bb) + half * rule.nodes
+    w = half * rule.weights
+
+    def values(j, order=0):
+        return trajectory.component(j, t.ravel(), order).reshape(t.shape)
+
+    ydot = [values(j, 1) for j in range(problem.n_y)]
+    y = [values(j) for j in range(problem.n_y)]
+    z = [values(problem.n_y + j) for j in range(problem.n_z)]
+    res = problem.c(ydot, y, z, t)
     total = 0.0
-    for a, bb in space.mesh.intervals:
-        t, w = rule.mapped(a, bb)
-        ydot = [trajectory.component(j, t, 1) for j in range(problem.n_y)]
-        y = [trajectory.component(j, t) for j in range(problem.n_y)]
-        z = [trajectory.component(problem.n_y + j, t) for j in range(problem.n_z)]
-        res = problem.c(ydot, y, z, t)
-        for r in res:
-            total += float(np.dot(w, np.broadcast_to(np.asarray(r, dtype=float), t.shape) ** 2))
+    if len(res):
+        squares = np.stack([np.broadcast_to(np.asarray(r, dtype=float), t.shape) ** 2
+                            for r in res])
+        # np.dot's value per (interval, residual), added in that order
+        for v in _row_dots(w, squares).reshape(len(res), -1).T.ravel():
+            total += float(v)
     if problem.n_b > 0:
         ys = [
             [trajectory.component(j, tk)[0] for j in range(problem.n_y)]

@@ -54,6 +54,17 @@ def _gauss_legendre_cached(n: int) -> tuple[tuple[float, ...], tuple[float, ...]
     return tuple(x), tuple(w)
 
 
+def _row_dots(w, v):
+    """``np.dot(w[b], v[..., b, :])`` for every (leading index, b) row, in
+    that order, as one ``matmul``.
+
+    A row times a column takes numpy's dot kernel, so each value equals
+    ``np.dot``'s bit for bit.  ``np.dot`` hands BLAS a contiguous copy of a
+    broadcast row, so ``v`` is made contiguous first.  Callers add the
+    values one by one: ``np.sum`` would add them pairwise."""
+    return np.matmul(w[:, None, :], np.ascontiguousarray(v)[..., None]).ravel()
+
+
 def gauss_legendre(n_points: int) -> QuadratureRule:
     """The ``n_points``-point Gauss-Legendre rule on (-1, 1)."""
     if n_points < 1:

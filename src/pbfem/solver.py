@@ -23,7 +23,7 @@ from .analysis import optimality_gap
 from .errors import BarrierDomainError, InputError
 from .mesh import Trajectory
 from .problem import feasibility_residual_exact
-from .transcription import PenaltyBarrierParams, _NewtonSystem
+from .transcription import PenaltyBarrierParams, _ColumnOrder, _NewtonSystem
 
 __all__ = ["SolverConfig", "SolveReport", "solve", "initial_guess"]
 
@@ -133,10 +133,11 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_MAX = 32 << 20
 
 
-def _shipment(system):
-    """The fields ``system`` is rebuilt from: the arrays that go through
-    the shared buffer, each with its place in it, the other fields, and
-    the buffer's size."""
+def _shipment(system, shift=None):
+    """The fields ``system`` is rebuilt from, and the column order its
+    plan holds for its pattern at ``shift``, if any: the arrays that go
+    through the shared buffer, each with its place in it, the other
+    fields, and the buffer's size, which leaves room for an order."""
     arrays, scalars = [], {}
     for f in fields(system):
         value = getattr(system, f.name)
@@ -144,10 +145,15 @@ def _shipment(system):
             arrays.append((f.name, value))
         else:
             scalars[f.name] = value
+    order = None if shift is None else system.orders.get(system.pattern(shift))
+    if order is not None:
+        arrays.append(("order", order.perm))
     places, size = [], 0
     for name, a in arrays:
         places.append((name, a.dtype.str, a.shape, size))
         size += -(-a.nbytes // _ALIGN) * _ALIGN
+    if order is None:
+        size += -(-np.dtype(np.intc).itemsize * (len(system.indptr) - 1) // _ALIGN) * _ALIGN
     return [a for _, a in arrays], places, scalars, size
 
 
@@ -165,6 +171,18 @@ def _keep_freed_memory():
         mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
+def _shipped_trial(buf, places, scalars, shift):
+    """The trial at ``shift`` of the system shipped through ``buf``, in the
+    column order shipped with it, if any."""
+    fields = {name: np.ndarray(shape, dtype, buffer=buf, offset=at)
+              for name, dtype, shape, at in places}
+    perm = fields.pop("order", None)
+    system = _NewtonSystem(**fields, **scalars)
+    if perm is not None:
+        system.orders[system.pattern(shift)] = _ColumnOrder(perm)
+    return _trial(system, shift)
+
+
 def _serve(conn, main_end, buf):
     """Worker loop: rebuild each system shipped through ``buf`` and try its
     shift, until the main process hangs up."""
@@ -178,14 +196,11 @@ def _serve(conn, main_end, buf):
         except (EOFError, OSError):
             return
         t0 = time.perf_counter()
-        fields = {name: np.ndarray(shape, dtype, buffer=buf, offset=at)
-                  for name, dtype, shape, at in places}
         try:
-            reply = (True, _trial(_NewtonSystem(**fields, **scalars), shift))
+            reply = (True, _shipped_trial(buf, places, scalars, shift))
         except Exception:
             # the main process tries the shift itself and meets the error there
             reply = (False, None)
-        del fields
         try:
             conn.send((*reply, time.perf_counter() - t0))
         except OSError:
@@ -252,7 +267,7 @@ class _SecondShift:
             return False
         t0 = time.perf_counter()
         _, conn, buf = self._worker
-        arrays, places, scalars, size = _shipment(system)
+        arrays, places, scalars, size = _shipment(system, shift)
         # a worker still starting, or still on a trial nobody took, is
         # not waited for
         if size > len(buf) or self._pending and not (conn.poll(0) and self._receive()):

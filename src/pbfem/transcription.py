@@ -31,6 +31,10 @@ remade only if more entries turn nonzero.  It is made a chunk of columns
 union of the slot lists chunk by chunk, so that its transient index
 arrays stay small however large the mesh: plans are built inside a solve,
 where their transient memory is peak memory.
+The matrices of a plan take a few patterns, since only exact zeros are
+left out, so SuperLU's COLAMD orders each pattern once: later matrices of
+the pattern are relabelled by that column order and factored without
+ordering, to the bits of ``splu`` (``_OrderedLU``).
 Bit-exactness is a contract: gradients and Newton matrices equal, bit for
 bit, those of the dense assembly that evaluates one ``np.einsum`` over all
 planes, converts COO triplets with scipy and forms ``H + X``,
@@ -45,12 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse import _sparsetools
+from scipy.sparse.linalg._dsolve import _superlu
 
 from . import ad
 from .errors import BarrierDomainError, EvaluationError, InputError
 from .mesh import Trajectory
 from .polynomials import basis_deriv_matrix, basis_matrix
-from .quadrature import gauss_legendre
+from .quadrature import _row_dots, gauss_legendre
 
 __all__ = ["PenaltyBarrierParams", "TranscribedNLP"]
 
@@ -153,17 +159,6 @@ def _curvature_matmul(block, cval):
     ab = np.matmul(block.transpose(2, 3, 1, 0).reshape(B * Q, -1, nc),
                    cval.transpose(1, 2, 0).reshape(B * Q, nc, 1))
     return ab.reshape(B, Q, -1)[:, :, :P].transpose(2, 0, 1)
-
-
-def _row_dots(w, v):
-    """``np.dot(w[b], v[..., b, :])`` for every (leading index, b) row, in
-    that order, as one ``matmul``.
-
-    A row times a column takes numpy's dot kernel, so each value equals
-    ``np.dot``'s bit for bit.  ``np.dot`` hands BLAS a contiguous copy of a
-    broadcast row, so ``v`` is made contiguous first.  Callers add the
-    values one by one: ``np.sum`` would add them pairwise."""
-    return np.matmul(w[:, None, :], np.ascontiguousarray(v)[..., None]).ravel()
 
 
 # COO entries, or union slots, that the plan build handles at a time: its
@@ -428,11 +423,72 @@ def _slot_values(run, weights, n):
     return np.bincount(run, weights=weights, minlength=n).astype(np.float64, copy=False)
 
 
-def _factor(K):
+class _ColumnOrder:
+    """The column order SuperLU's COLAMD gave one pattern (``perm_c``), and
+    the relabelled structure of the systems whose matrices take that
+    pattern, made on first use."""
+
+    def __init__(self, perm):
+        self.perm = perm
+        # old[k]: the column that becomes column k
+        self.old = np.empty_like(perm)
+        self.old[perm] = np.arange(len(perm), dtype=perm.dtype)
+        self.indices = self.indptr = None
+
+    def relabel(self, data, indices, indptr):
+        """CSC arrays of the matrix whose row and column ``perm[i]`` are row
+        and column i of the given one; each column keeps its stored entries
+        in their order.  Every call passes the arrays of a system of this
+        order's pattern, so the structure made at the first serves all."""
+        n = len(self.perm)
+        new_indices, new_data = np.empty_like(indices), np.empty_like(data)
+        # the column copy that scipy's column indexing runs, without its checks
+        _sparsetools.csr_row_index(n, self.old, indptr, indices, data, new_indices, new_data)
+        if self.indices is None:
+            self.indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.diff(indptr)[self.old], out=self.indptr[1:])
+            self.indices = self.perm.take(new_indices)
+        return new_data, self.indices, self.indptr
+
+
+def _factor(K, order=None):
+    """SuperLU's LU factors of K, bit for bit those of ``splu``; with
+    ``order`` (a :class:`_ColumnOrder`), K is a matrix relabelled by it, and
+    the factors solve in the labels before it (:class:`_OrderedLU`)."""
     if not np.all(np.isfinite(K.data)):
         # SuperLU neither raises nor warns cleanly on non-finite input
         raise ValueError("non-finite Newton matrix")
-    return scipy.sparse.linalg.splu(K)
+    if order is None:
+        return scipy.sparse.linalg.splu(K)
+    return _OrderedLU(K, order.perm)
+
+
+class _OrderedLU:
+    """LU factors of a matrix A in a column order found before, from A
+    relabelled by it (:meth:`_ColumnOrder.relabel`), solving in A's labels.
+
+    SuperLU factors the relabelled matrix without ordering it
+    (``ColPerm="NATURAL"``), in the mode ``splu`` runs COLAMD in
+    (``SymmetricMode=False``).  The order is already postordered, so SuperLU
+    keeps it, and its pivot search in column j prefers the row the order
+    maps onto j, as in ``splu(A)``.  Each column keeps A's storage order, in
+    which the search meets equal candidates and the factorization its
+    rows: the same matrix with sorted columns, which is what the public
+    ``splu(..., permc_spec="NATURAL")`` would factor after its
+    ``sum_duplicates``, gives other bits.  So the factors, the row
+    permutation, the refusals and every solution are those of ``splu(A)``.
+    """
+
+    def __init__(self, K, perm):
+        self._lu = _superlu.gstrf(K.shape[0], K.nnz, K.data, K.indices, K.indptr,
+                                  csc_construct_func=scipy.sparse.csc_matrix, ilu=False,
+                                  options=dict(ColPerm="NATURAL", SymmetricMode=False))
+        self.perm = perm
+
+    def solve(self, b):
+        relabelled = np.empty_like(b)
+        relabelled[self.perm] = b
+        return self._lu.solve(relabelled)[self.perm]
 
 
 class _ShiftedPlan:
@@ -470,6 +526,7 @@ class _ShiftedPlan:
         self.run = pos_h[hess.run]
         del hess.rows, hess.cols, hess.run
         self.hess = hess
+        self.orders = {}
 
     def system(self, Hc, jp, omega, rhs):
         data = _slot_values(self.run, Hc.ravel()[self.hess.pos], len(self.indices))
@@ -508,10 +565,18 @@ class _NewtonSystem:
     (B + mu I + J^T J / omega) d = -(g_smooth + J^T C / omega).
 
     Holds K without its shift in CSC form, ``diag`` the positions of its
-    first ``dim`` (primal) diagonal entries, and whether a solve takes one
-    pass of iterative refinement (the saddle form does).  Zeros on the
+    first ``dim`` (primal) diagonal entries, whether a solve takes one
+    pass of iterative refinement (the saddle form does), and ``drop``, the
+    sorted positions of the plan's slots that K leaves out.  Zeros on the
     diagonal are left out once the shift is added.  A system is rebuilt
     from its fields alone, so it can be solved in another process.
+
+    The matrices of a plan take only a few patterns, so COLAMD orders each
+    pattern once: ``orders``, shared with the plan, keeps the column order
+    of every pattern that SuperLU has factored, and the later matrices of
+    that pattern are factored in it (:class:`_OrderedLU`), to the same bits.
+    A pattern is keyed by the slots it leaves out, never by its entries.
+    A rebuilt system starts with no orders.
     """
 
     data: np.ndarray
@@ -522,6 +587,10 @@ class _NewtonSystem:
     rhs: np.ndarray
     dim: int
     refine: bool
+    drop: np.ndarray
+
+    def __post_init__(self):
+        self.orders = {}
 
     @classmethod
     def of_plan(cls, plan, data, drop, diag_scale, rhs, refine):
@@ -529,25 +598,43 @@ class _NewtonSystem:
         at the sorted positions ``drop`` left out."""
         data, indices, indptr = _drop(data, plan.indices, plan.indptr, drop)
         diag = plan.diag - np.searchsorted(drop, plan.diag) if len(drop) else plan.diag
-        return cls(data, indices, indptr, diag, diag_scale, rhs, plan.dim, refine)
+        system = cls(data, indices, indptr, diag, diag_scale, rhs, plan.dim, refine, drop)
+        system.orders = plan.orders
+        return system
 
-    def matrix(self, shift):
-        """The Newton matrix handed to SuperLU at this shift."""
-        data = self.data.copy()
-        data[self.diag] += shift
-        data, indices, indptr = _drop(data, self.indices, self.indptr,
-                                      self.diag[data[self.diag] == 0])
+    def matrix(self, shift, order=None):
+        """The Newton matrix at this shift, relabelled by ``order`` if
+        given, as SuperLU receives it."""
+        if order is None:
+            data, indices, indptr, diag = self.data.copy(), self.indices, self.indptr, self.diag
+        else:
+            data, indices, indptr = order.relabel(self.data, self.indices, self.indptr)
+            # a column keeps its entries' order, so its diagonal entry
+            # keeps its offset from the column's start
+            diag = indptr[order.perm[: self.dim]] + (self.diag - self.indptr[: self.dim])
+        data[diag] += shift
+        data, indices, indptr = _drop(data, indices, indptr, np.sort(diag[data[diag] == 0]))
         n = len(indptr) - 1
         return scipy.sparse.csc_matrix((data, indices, indptr), shape=(n, n))
 
+    def pattern(self, shift):
+        """The key in ``orders`` of the matrix's pattern at this shift: the
+        plan's slots left out, and the diagonal entries the shift zeroes."""
+        return self.drop.tobytes(), np.flatnonzero(self.data[self.diag] + shift == 0).tobytes()
+
     def solve(self, shift):
-        K = self.matrix(shift)
-        lu = _factor(K)
+        key = self.pattern(shift)
+        order = self.orders.get(key)
+        lu = _factor(self.matrix(shift, order), order)
+        if order is None:
+            # a copy: SuperLU's own array keeps all of its factors alive
+            self.orders[key] = _ColumnOrder(lu.perm_c.copy())
         z = lu.solve(self.rhs)
         if self.refine:
             # the graded factors lose a few digits that the residual
-            # correction wins back
-            z = z + lu.solve(self.rhs - K @ z)
+            # correction wins back; the residual is formed in the
+            # matrix's own labels
+            z = z + lu.solve(self.rhs - self.matrix(shift) @ z)
         return z[: self.dim]
 
 
@@ -608,6 +695,7 @@ class _SaddlePlan:
         optional[self.pos_jp] = True
         optional[self.diag] = False
         self.optional = np.flatnonzero(optional).astype(np.int32)
+        self.orders = {}
 
     def system(self, Hc, jqv, jp, omega, rhs):
         data = _slot_values(self.run, Hc.ravel()[self.hess.pos], len(self.indices))

@@ -161,23 +161,26 @@ def _reference_matrices(nlp, x, params):
 
 def _handed_matrices(monkeypatch, nlp, x, shifts):
     """g and the matrices handed to SuperLU along a shift ladder, all from
-    one Newton-system object."""
-    handed = []
-    splu = scipy.sparse.linalg.splu
+    one Newton-system object, each in the system's own labels."""
+    made, handed = [], []
+    matrix = transcription._NewtonSystem.matrix
 
-    def spy(K, *args, **kwargs):
-        handed.append(K.copy())
-        return splu(K, *args, **kwargs)
+    def spy(system, shift, order=None):
+        made.append(matrix(system, shift))
+        return matrix(system, shift, order)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    monkeypatch.setattr(transcription._NewtonSystem, "matrix", spy)
     g, system = nlp.newton_system(x)
     for shift in shifts:
+        made.clear()
         try:
             system.solve(shift)
         except RuntimeError:  # exactly singular: the matrix was still handed
             pass
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-    assert len(handed) == len(shifts)
+        # the first matrix is factored; the saddle form makes it once more
+        # to form its refinement residual
+        handed.append(made[0])
+    monkeypatch.setattr(transcription._NewtonSystem, "matrix", matrix)
     return g, handed
 
 

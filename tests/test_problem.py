@@ -6,9 +6,12 @@ from pbfem import (
     DynamicProblem,
     FESpace,
     InputError,
+    Mesh,
+    Trajectory,
     convert_bolza,
     evaluate_dae_residual,
     feasibility_residual_exact,
+    gauss_legendre,
     uniform_mesh,
 )
 from pbfem import ad
@@ -90,6 +93,51 @@ class TestFeasibilityResidual:
             coeffs[space.z_dofs[0, b]] = [-0.5, 0.5]
         saw = Trajectory(space, coeffs)
         assert abs(feasibility_residual_exact(prob, saw) - 0.5) < 1e-6
+
+    @staticmethod
+    def _interval_by_interval(problem, trajectory):
+        """The measure one interval at a time, one ``np.dot`` per
+        (interval, residual), as it was first written."""
+        space = trajectory.space
+        rule = gauss_legendre(2 * space.p + 4)
+        total = 0.0
+        for a, bb in space.mesh.intervals:
+            t, w = rule.mapped(a, bb)
+            ydot = [trajectory.component(j, t, 1) for j in range(problem.n_y)]
+            y = [trajectory.component(j, t) for j in range(problem.n_y)]
+            z = [trajectory.component(problem.n_y + j, t) for j in range(problem.n_z)]
+            for r in problem.c(ydot, y, z, t):
+                total += float(np.dot(w, np.broadcast_to(np.asarray(r, dtype=float), t.shape) ** 2))
+        if problem.n_b > 0:
+            ys = [[trajectory.component(j, tk)[0] for j in range(problem.n_y)]
+                  for tk in problem.point_times]
+            total += float(sum(float(v) ** 2 for v in problem.b(*ys)))
+        return total
+
+    @pytest.mark.parametrize("name", ["vanderpol", "pendulum-a", "regulator", "constant-c"])
+    def test_all_intervals_at_once_equal_interval_by_interval(self, name):
+        # the same bits on uniform and graded meshes and on trajectories
+        # over several orders of magnitude; a constant residual reaches the
+        # sum as a broadcast scalar
+        if name == "constant-c":
+            prob = DynamicProblem(
+                n_y=1, n_z=0, n_c=2, n_b=0, t0=0.0, tE=2.0, point_times=(),
+                f=lambda yd, y, z, t: 0.0, c=lambda yd, y, z, t: [yd[0] - y[0], 0.3],
+                b=lambda: [])
+        else:
+            prob = build(name).problem
+        rng = np.random.default_rng(23)
+        for n, p in ((1, 1), (7, 3), (40, 5)):
+            nodes = np.sort(np.concatenate([[prob.t0, prob.tE],
+                                            rng.uniform(prob.t0, prob.tE, n - 1)]))
+            for mesh in (uniform_mesh(prob.t0, prob.tE, n), Mesh(nodes)):
+                space = FESpace(mesh, p, prob.n_y, prob.n_z)
+                scale = 10.0 ** rng.uniform(-3.0, 2.0)
+                traj = Trajectory(space, scale * rng.standard_normal(space.dimension))
+                with np.errstate(all="ignore"):
+                    r, ref = (feasibility_residual_exact(prob, traj),
+                              self._interval_by_interval(prob, traj))
+                assert float(r).hex() == float(ref).hex()
 
 
 class TestBolzaConversion:

@@ -167,6 +167,38 @@ class TestSameBits:
         assert shift == second
         assert same_bits(d, type(system).solve(system, second))
 
+    def test_column_orders_the_worker_does_not_hold(self, monkeypatch):
+        # the worker holds no column orders of its own: it factors in the
+        # order shipped with a trial, and orders the pattern itself when
+        # none is shipped; either way its direction is the bits this
+        # process gets from the order it holds
+        system, g, mu = first_refusal(monkeypatch, "lgr", 3)
+        second = solver._next_shift(mu, REGULARIZATION_FLOOR, system.diag_scale)
+        system.orders.clear()
+        ahead = solver._SecondShift()
+        ahead.after(system, needed_second=True)
+        assert ahead._drain()
+        local = solver._trial
+
+        def no_local_trial(system, shift):
+            raise AssertionError("the direction did not come from the worker")
+
+        try:
+            shipped = []
+            for _ in range(2):
+                places = solver._shipment(system, second)[1]
+                shipped.append("order" in [p[0] for p in places])
+                assert ahead.submit(system, second)
+                here = system.solve(second)
+                assert system.orders  # ordered here, by then
+                monkeypatch.setattr(solver, "_trial", no_local_trial)
+                d = ahead.take(system, second)
+                monkeypatch.setattr(solver, "_trial", local)
+                assert same_bits(d, here) and same_bits(d, system.solve(second))
+        finally:
+            ahead.close()
+        assert shipped == [False, True]
+
 
 @needs_worker
 def test_trials_stop_in_a_stage_where_they_do_not_pay(monkeypatch):
