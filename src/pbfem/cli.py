@@ -240,9 +240,9 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_study(config: RunConfig, element_counts) -> int:
-    if len(element_counts) < 2:
-        raise InputError("a study needs at least two element counts")
     counts = sorted(set(int(n) for n in element_counts))
+    if len(counts) < 2:
+        raise InputError("a study needs at least two distinct element counts")
     spec = build(config.problem)
     out = _output_dir(config.output_dir)
     study = ConvergenceStudy(config.problem, config.method)
@@ -278,8 +278,9 @@ def cmd_study(config: RunConfig, element_counts) -> int:
 
 
 def cmd_compare(config: RunConfig, methods) -> int:
+    methods = list(dict.fromkeys(methods))
     if len(methods) < 2:
-        raise InputError("compare needs at least two methods")
+        raise InputError("compare needs at least two distinct methods")
     runs = [dataclasses.replace(config, method=m) for m in methods]
     spec = build(config.problem)
     out = _output_dir(config.output_dir)

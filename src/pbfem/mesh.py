@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import InputError, InternalError
+from .newton import _factor
 from .polynomials import basis_deriv_matrix, basis_matrix, gauss_lobatto_nodes
 from .quadrature import gauss_legendre
 
@@ -313,7 +313,7 @@ def best_approximation(space: FESpace, target) -> Trajectory:
             ).tocsc()
             sub = A[used][:, used]
             try:
-                sol = scipy.sparse.linalg.splu(sub.tocsc()).solve(rhs[used])
+                sol = _factor(sub.tocsc()).solve(rhs[used])
             except RuntimeError as exc:  # pragma: no cover
                 raise InternalError(f"singular Gram matrix: {exc}") from exc
             coeffs[used] = sol

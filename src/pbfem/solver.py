@@ -9,21 +9,17 @@ of steps that leave the barrier domain.
 
 from __future__ import annotations
 
-import ctypes
-import mmap
-import os
-import signal
-import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import newton
 from .analysis import optimality_gap
 from .errors import BarrierDomainError, InputError
 from .mesh import Trajectory
 from .problem import feasibility_residual_exact
-from .transcription import PenaltyBarrierParams, _ColumnOrder, _NewtonSystem
+from .transcription import PenaltyBarrierParams
 
 __all__ = ["SolverConfig", "SolveReport", "solve", "initial_guess"]
 
@@ -121,280 +117,6 @@ def _make_interior(nlp, x, tau, omega):
     return x
 
 
-# arrays shipped to the shift-ladder worker start at multiples of this many
-# bytes of the shared buffer
-_ALIGN = 64
-# a worker that has not replied within this many seconds is taken as hung
-# (its trial takes as long as the local one, milliseconds on every workload)
-_REPLY_TIMEOUT_S = 10.0
-# glibc's mallopt parameters, and the largest mmap threshold it takes on a
-# 64-bit platform
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_MAX = 32 << 20
-
-
-def _shipment(system, shift=None):
-    """The fields ``system`` is rebuilt from, and the column order its
-    plan holds for its pattern at ``shift``, if any: the arrays that go
-    through the shared buffer, each with its place in it, the other
-    fields, and the buffer's size, which leaves room for an order."""
-    arrays, scalars = [], {}
-    for f in fields(system):
-        value = getattr(system, f.name)
-        if isinstance(value, np.ndarray):
-            arrays.append((f.name, value))
-        else:
-            scalars[f.name] = value
-    order = None if shift is None else system.orders.get(system.pattern(shift))
-    if order is not None:
-        arrays.append(("order", order.perm))
-    places, size = [], 0
-    for name, a in arrays:
-        places.append((name, a.dtype.str, a.shape, size))
-        size += -(-a.nbytes // _ALIGN) * _ALIGN
-    if order is None:
-        size += -(-np.dtype(np.intc).itemsize * (len(system.indptr) - 1) // _ALIGN) * _ALIGN
-    return [a for _, a in arrays], places, scalars, size
-
-
-def _keep_freed_memory():
-    """Have glibc's malloc keep what this process frees.  SuperLU's
-    workspace is then reused from one factorization to the next instead of
-    being handed back to the system and page-faulted in again (on the
-    second shift of pendulum-a, 4.8 against 4.2 ms per trial by LGR at 30
-    elements, 4.7 against 3.9 ms by FE at 40).  Only the worker does so: it
-    holds nothing else, and the memory it keeps is its own."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
-
-
-def _shipped_trial(buf, places, scalars, shift):
-    """The trial at ``shift`` of the system shipped through ``buf``, in the
-    column order shipped with it, if any."""
-    fields = {name: np.ndarray(shape, dtype, buffer=buf, offset=at)
-              for name, dtype, shape, at in places}
-    perm = fields.pop("order", None)
-    system = _NewtonSystem(**fields, **scalars)
-    if perm is not None:
-        system.orders[system.pattern(shift)] = _ColumnOrder(perm)
-    return _trial(system, shift)
-
-
-def _serve(conn, main_end, buf):
-    """Worker loop: rebuild each system shipped through ``buf`` and try its
-    shift, until the main process hangs up."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    main_end.close()
-    _keep_freed_memory()
-    conn.send("ready")
-    while True:
-        try:
-            places, scalars, shift = conn.recv()
-        except (EOFError, OSError):
-            return
-        t0 = time.perf_counter()
-        try:
-            reply = (True, _shipped_trial(buf, places, scalars, shift))
-        except Exception:
-            # the main process tries the shift itself and meets the error there
-            reply = (False, None)
-        try:
-            conn.send((*reply, time.perf_counter() - t0))
-        except OSError:
-            return
-
-
-def _start_worker(size):
-    """A forked shift-ladder worker and its shared buffer of ``size``
-    bytes, or None where no second core is at hand."""
-    if sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
-        return None
-    import multiprocessing  # only solves that fork pay for the import
-    if multiprocessing.current_process().daemon:
-        return None  # a daemonic process may not have children
-    buf = mmap.mmap(-1, size)
-    main_end, worker_end = multiprocessing.Pipe()
-    proc = multiprocessing.get_context("fork").Process(
-        target=_serve, args=(worker_end, main_end, buf), daemon=True)
-    try:
-        proc.start()
-    except OSError:
-        main_end.close()
-        buf.close()
-        return None
-    finally:
-        worker_end.close()
-    return proc, main_end, buf
-
-
-class _SecondShift:
-    """The shift ladder's second trial, factored in a forked worker while
-    the first one runs here.
-
-    Most direction calls of a collocation solve need the second shift,
-    because SuperLU refuses the first matrix as singular; the worker puts
-    the machine's second core to that factorization.  It gets each system's
-    arrays through a buffer shared with it, rebuilds the system from its
-    fields, right-hand side included, and tries the shift with the class's
-    own ``solve``, so its direction is the one this process would compute.
-    A trial is sent only when the previous direction call of the stage
-    needed the second shift, to a worker that is not still busy, and only
-    while the stage's trials pay for themselves: while the worker's time on
-    the trials whose direction was taken exceeds the time this process
-    spent sending trials and waiting for replies, both summed over the
-    stage.  Each stage starts
-    with a clean account, so that one late reply early on (a host's
-    scheduling hiccup of a few milliseconds) does not end the trials for
-    the whole solve.  The worker is forked at the first call that needs
-    the second shift, and anew when a later system outgrows its buffer.
-    A worker that fails or does not reply costs the local factorization,
-    never a different result, and ends the trials for the solve.
-    """
-
-    def __init__(self):
-        self._worker = None  # process, connection, buffer
-        self._pending = False  # a message from the worker is due
-        self._failed = False
-        self.new_stage()
-
-    def submit(self, system, shift) -> bool:
-        """Send the trial at ``shift`` to the worker; False when it is not
-        sent."""
-        if not (self._wanted and self.paid) or self._worker is None:
-            return False
-        t0 = time.perf_counter()
-        _, conn, buf = self._worker
-        arrays, places, scalars, size = _shipment(system, shift)
-        # a worker still starting, or still on a trial nobody took, is
-        # not waited for
-        if size > len(buf) or self._pending and not (conn.poll(0) and self._receive()):
-            return False
-        for a, (_, dtype, shape, at) in zip(arrays, places):
-            np.ndarray(shape, dtype, buffer=buf, offset=at)[...] = a
-        try:
-            conn.send((places, scalars, shift))
-        except OSError:
-            self._fail()
-            return False
-        self._pending = True
-        self._spent_s += time.perf_counter() - t0
-        return True
-
-    def take(self, system, shift):
-        """The trial :meth:`submit` sent: the worker's direction, or the
-        local one when the worker gave none."""
-        t0 = time.perf_counter()
-        reply = self._receive()
-        if reply is None or not reply[0]:
-            return _trial(system, shift)
-        _, d, worker_s = reply
-        self._saved_s += worker_s
-        self._spent_s += time.perf_counter() - t0
-        self.paid = self._saved_s > self._spent_s
-        return d
-
-    def new_stage(self):
-        """The next call starts a stage: it has no previous call, and the
-        stage's account starts clean.  The buffer's pages are handed back
-        to the system until a trial is sent again: a later stage may use
-        another Newton form."""
-        self._wanted = False  # the previous call of the stage needed the second shift
-        self.paid = True
-        self._saved_s = 0.0  # the worker's time on the trials taken
-        self._spent_s = 0.0  # this process's time sending and waiting
-        if self._worker is not None and self._drain():
-            self._worker[2].madvise(mmap.MADV_REMOVE)
-
-    def after(self, system, needed_second):
-        """Note whether a direction call needed the second shift; fork a
-        worker that can take ``system`` if the next call will want one."""
-        self._wanted = needed_second
-        if not (needed_second and self.paid) or self._failed:
-            return
-        size = _shipment(system)[3]
-        if self._worker is not None and size <= len(self._worker[2]):
-            return
-        self.close()
-        self._worker = _start_worker(size)
-        self._failed = self._worker is None
-        self._pending = not self._failed  # its "ready"
-
-    def _receive(self):
-        """The message due from the worker (its "ready", or its reply to
-        the trial in flight), or None when it died or did not send it in
-        time."""
-        self._pending = False
-        conn = self._worker[1]
-        try:
-            if conn.poll(_REPLY_TIMEOUT_S):
-                return conn.recv()
-        except (EOFError, OSError):
-            pass
-        self._fail()
-        return None
-
-    def _drain(self) -> bool:
-        """Wait out a message nobody took; False when the worker failed."""
-        return not self._pending or self._receive() is not None
-
-    def _fail(self):
-        self.close()
-        self._failed = True
-
-    def close(self):
-        """Stop the worker.  It holds nothing to save, so it is killed and
-        not left to finish a trial in flight; a worker whose main process
-        died without closing exits when its connection ends."""
-        if self._worker is None:
-            return
-        proc, conn, buf = self._worker
-        self._worker, self._pending = None, False
-        conn.close()
-        proc.kill()
-        proc.join()
-        proc.close()
-        buf.close()
-
-
-def _next_shift(shift, floor, scale):
-    return max(floor * scale, 4.0 * shift) if shift else max(floor * scale, 1e-8 * scale)
-
-
-def _trial(system, shift):
-    """The Newton direction at ``shift``, or None when SuperLU refuses the
-    matrix."""
-    try:
-        return system.solve(shift)
-    except (RuntimeError, ValueError):
-        return None
-
-
-def _newton_direction(system, g, floor, mu, ahead=None):
-    """Solve the shifted Newton model, escalating the shift until the
-    factorization succeeds and yields a descent direction.  Returns the
-    direction and the shift that produced it.
-
-    With ``ahead`` (a :class:`_SecondShift`), the second shift may be tried
-    in its worker while the first is tried here; the ladder's shifts and
-    directions are the same either way."""
-    scale = system.diag_scale
-    shift = mu
-    second = ahead is not None and ahead.submit(system, _next_shift(shift, floor, scale))
-    for k in range(40):
-        d = ahead.take(system, shift) if second and k == 1 else _trial(system, shift)
-        if d is not None and np.all(np.isfinite(d)) and float(g @ d) < 0.0:
-            break
-        shift = _next_shift(shift, floor, scale)
-    else:
-        d = None
-    if ahead is not None:
-        ahead.after(system, needed_second=k > 0)
-    return d, shift
-
-
 def _max_step(nlp, x, d, frac):
     """Largest step keeping algebraic quadrature values positive, capped
     by the fraction-to-boundary rule."""
@@ -483,8 +205,8 @@ def _run_stage(nlp, x, config, ahead):
             mu_floor = 1e-12 * H.diag_scale
         accepted = False
         for _ in range(12):
-            d, mu_used = _newton_direction(H, g, REGULARIZATION_FLOOR,
-                                           max(mu, mu_floor), ahead)
+            d, mu_used = newton._newton_direction(H, g, REGULARIZATION_FLOOR,
+                                                  max(mu, mu_floor), ahead)
             if d is None:
                 break
             alpha_max = _max_step(nlp, x, d, FRACTION_TO_BOUNDARY)
@@ -531,9 +253,9 @@ def solve(nlp, initial, config: SolverConfig | None = None,
 
     On Linux with two or more CPUs, a solve whose Newton matrices need the
     second Levenberg shift forks one worker process that factors it beside
-    the first (:class:`_SecondShift`); the worker is stopped before
-    ``solve`` returns or raises, and the results are the same bits as
-    without it.
+    the first (:class:`pbfem.newton._SecondShift`); the worker is stopped
+    before ``solve`` returns or raises, and the results are the same bits
+    as without it.
     """
     config = config or SolverConfig()
     t_start = time.perf_counter()
@@ -541,7 +263,7 @@ def solve(nlp, initial, config: SolverConfig | None = None,
     x = np.array(x, dtype=float)
     report_stages = []
     status = "converged"
-    ahead = _SecondShift()
+    ahead = newton._SecondShift()
     try:
         for omega, tau in _stage_schedule(config):
             nlp.params = PenaltyBarrierParams(omega, tau)

@@ -182,6 +182,13 @@ class TestStudy:
                    "--element-counts", "4"])
         assert rc == 2
 
+    def test_study_needs_two_distinct_counts(self, tmp_path, monkeypatch):
+        # a repeated count is one mesh: nothing is solved
+        monkeypatch.setattr(cli, "solve_benchmark", lambda *a, **k: pytest.fail("solved"))
+        rc = main(["study", *FAST, "--output-dir", str(tmp_path),
+                   "--element-counts", "4", "4"])
+        assert rc == 2
+
 
 class TestCompare:
     def test_compare_writes_scores(self, tmp_path):
@@ -201,6 +208,14 @@ class TestCompare:
     def test_compare_needs_two_methods(self, tmp_path):
         rc = main(["compare", *FAST, "--output-dir", str(tmp_path),
                    "--methods", "pbf"])
+        assert rc == 2
+
+    def test_compare_needs_two_distinct_methods(self, tmp_path, monkeypatch):
+        # a repeated method would be solved again into the same column:
+        # nothing is solved
+        monkeypatch.setattr(cli, "solve_benchmark", lambda *a, **k: pytest.fail("solved"))
+        rc = main(["compare", *FAST, "--output-dir", str(tmp_path),
+                   "--methods", "lgr", "lgr"])
         assert rc == 2
 
 

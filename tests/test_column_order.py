@@ -1,4 +1,4 @@
-"""Factorizations in a cached column order (transcription._OrderedLU) give
+"""Factorizations in a cached column order (newton._OrderedLU) give
 the bits of ``splu``.
 
 Each pattern of a plan is ordered by COLAMD once, at its first accepted
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from pbfem import FESpace, initial_guess, solve, solver, transcription, uniform_mesh
+from pbfem import FESpace, initial_guess, newton, plans, solve, solver, uniform_mesh
 from pbfem.benchmarks import build
 from pbfem.collocation import CollocationScheme, transcribe_collocation
 from pbfem.transcription import TranscribedNLP
@@ -51,7 +51,7 @@ def splu_direction(system, shift):
     ("pendulum-a", "lgr", 3, "gauss-newton", True),  # refused at shift 0, again and again
 ])
 def test_every_ladder_matrix_equals_splu(monkeypatch, name, method, n, form, refused):
-    monkeypatch.setattr(solver, "_start_worker", lambda size: None)
+    monkeypatch.setattr(newton, "_start_worker", lambda size: None)
     colamd, factored, calls = [], [], []
 
     def counted_splu(K, *args, **kwargs):
@@ -85,10 +85,10 @@ def test_every_ladder_matrix_equals_splu(monkeypatch, name, method, n, form, ref
         return d
 
     refusals = []
-    factor, solve_ = transcription._factor, transcription._NewtonSystem.solve
+    factor, solve_ = newton._factor, newton._NewtonSystem.solve
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
-    monkeypatch.setattr(transcription, "_factor", spied_factor)
-    monkeypatch.setattr(transcription._NewtonSystem, "solve", checked_solve)
+    monkeypatch.setattr(newton, "_factor", spied_factor)
+    monkeypatch.setattr(newton._NewtonSystem, "solve", checked_solve)
     solve(*small_solve(name, method, n), solver.SolverConfig(max_iters=30))
 
     # one COLAMD ordering per pattern, at the pattern's first matrix; every
@@ -111,14 +111,14 @@ def test_relabelled_matrix_keeps_each_column_in_storage_order(shift):
         (np.array([2.0, 1.0, 1.0, 0.0]), np.array([0, 2, 0, 2]), np.array([0, 2, 2, 4])),
         shape=(3, 3),
     ).tocoo()
-    slots = transcription._SlotSums.__new__(transcription._SlotSums)
+    slots = plans._SlotSums.__new__(plans._SlotSums)
     slots.rows, slots.cols = H.row.astype(np.int32), H.col.astype(np.int32)
     slots.pos = slots.run = np.arange(H.nnz)
-    plan = transcription._ShiftedPlan(slots, 3, None, None, None)
+    plan = plans._ShiftedPlan(slots, 3, None, None, None)
     system = plan.system(H.data, None, 1.0, np.array([1.0, 2.0, 3.0]))
     K = system.matrix(shift)
     for perm in ([2, 0, 1], [1, 2, 0], [0, 1, 2]):
-        order = transcription._ColumnOrder(np.array(perm, dtype=np.intc))
+        order = newton._ColumnOrder(np.array(perm, dtype=np.intc))
         R = system.matrix(shift, order)
         for j in range(3):
             col = slice(K.indptr[j], K.indptr[j + 1])

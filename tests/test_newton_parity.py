@@ -20,7 +20,7 @@ import scipy.sparse.linalg
 
 import dense_ad
 import reference_plans
-from pbfem import ad, transcription
+from pbfem import ad, newton, plans, transcription
 from pbfem.benchmarks import build
 from pbfem.collocation import CollocationScheme, transcribe_collocation
 from pbfem.errors import BarrierDomainError, EvaluationError
@@ -163,13 +163,13 @@ def _handed_matrices(monkeypatch, nlp, x, shifts):
     """g and the matrices handed to SuperLU along a shift ladder, all from
     one Newton-system object, each in the system's own labels."""
     made, handed = [], []
-    matrix = transcription._NewtonSystem.matrix
+    matrix = newton._NewtonSystem.matrix
 
     def spy(system, shift, order=None):
         made.append(matrix(system, shift))
         return matrix(system, shift, order)
 
-    monkeypatch.setattr(transcription._NewtonSystem, "matrix", spy)
+    monkeypatch.setattr(newton._NewtonSystem, "matrix", spy)
     g, system = nlp.newton_system(x)
     for shift in shifts:
         made.clear()
@@ -180,7 +180,7 @@ def _handed_matrices(monkeypatch, nlp, x, shifts):
         # the first matrix is factored; the saddle form makes it once more
         # to form its refinement residual
         handed.append(made[0])
-    monkeypatch.setattr(transcription._NewtonSystem, "matrix", matrix)
+    monkeypatch.setattr(newton._NewtonSystem, "matrix", matrix)
     return g, handed
 
 
@@ -415,7 +415,7 @@ def _assert_plan_equals_reference(nlp, saddle):
     whole-pattern builder makes for the same masks."""
     plan = nlp._plans[saddle]
     planes, pairs, jp_mask = plan.masks
-    hess = reference_plans.hessian_sums(nlp.gidx, planes, transcription._reach(nlp.A),
+    hess = reference_plans.hessian_sums(nlp.gidx, planes, plans._reach(nlp.A),
                                         nlp.dimension, nlp._batch_major)
     b_dofs = nlp._b_dofs if jp_mask is not None else None
     assert _same(plan.hess.pos, hess.pos)
@@ -455,7 +455,7 @@ def test_plans_equal_whole_pattern_reference(monkeypatch, name, method, n, plane
     # chunk 64 cuts every pattern into many chunks, some a single column
     # holding more entries than a chunk
     if chunk is not None:
-        monkeypatch.setattr(transcription, "_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(plans, "_CHUNK_ENTRIES", chunk)
     nlp, x = _nlp_and_point(name, method, n, omega)
     nlp.newton_system(x)
     for saddle in nlp._plans:
@@ -473,7 +473,7 @@ def test_slot_sums_equal_whole_pattern_reference(monkeypatch, layout, chunk):
     # intervals are sorted, and std::sort, which scipy then runs on them
     # too, may reorder their repeated rows: both are converted in one chunk
     if chunk is not None:
-        monkeypatch.setattr(transcription, "_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(plans, "_CHUNK_ENTRIES", chunk)
     rng = np.random.default_rng(17)
     for _ in range(5):
         m, B, L, Q, nc = 3, 4, 3, 2, 2
@@ -487,18 +487,18 @@ def test_slot_sums_equal_whole_pattern_reference(monkeypatch, layout, chunk):
         planes = rng.random((m, m)) < 0.6
         reach = rng.random(B * (m * L) ** 2) < 0.8
         for batch_major in (False, True):
-            new = transcription._hessian_sums(gidx, planes, reach, dim, batch_major)
+            new = plans._hessian_sums(gidx, planes, reach, dim, batch_major)
             ref = reference_plans.hessian_sums(gidx, planes, reach, dim, batch_major)
             for name in ("pos", "run", "rows", "cols"):
                 assert _same(getattr(new, name), getattr(ref, name))
         pairs = rng.random((nc, m)) < 0.6
-        new = transcription._jacobian_sums(gidx, Q, pairs, dim)
+        new = plans._jacobian_sums(gidx, Q, pairs, dim)
         ref = reference_plans.jacobian_sums(gidx, Q, pairs, dim)
         for name in ("pos", "run", "rows", "cols"):
             assert _same(getattr(new, name), getattr(ref, name))
         parts = [(new.rows, new.cols), (ref.cols[::-1].copy(), ref.rows[::-1].copy())]
         n = max(dim, B * Q * nc)
-        new_u, ref_u = transcription._union_pattern(n, parts), reference_plans.union_pattern(n, parts)
+        new_u, ref_u = plans._union_pattern(n, parts), reference_plans.union_pattern(n, parts)
         assert _same(new_u[0], ref_u[0]) and _same(new_u[1], ref_u[1])
         assert all(_same(a, b) for a, b in zip(new_u[2], ref_u[2]))
 
@@ -726,10 +726,10 @@ def test_diagonal_shift_matches_sparse_addition(shift):
     )
     coo = H.tocoo()
     # H's slots, each summing one entry of the value array handed in
-    slots = transcription._SlotSums.__new__(transcription._SlotSums)
+    slots = plans._SlotSums.__new__(plans._SlotSums)
     slots.rows, slots.cols = coo.row.astype(np.int32), coo.col.astype(np.int32)
     slots.pos = slots.run = np.arange(coo.nnz)
-    plan = transcription._ShiftedPlan(slots, 3, None, None, None)
+    plan = plans._ShiftedPlan(slots, 3, None, None, None)
     K = plan.system(coo.data, None, 1.0, np.zeros(3)).matrix(shift)
     ref = (H + shift * scipy.sparse.identity(3, format="csc")).tocsc()
     ref.sum_duplicates()

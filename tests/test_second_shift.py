@@ -1,4 +1,4 @@
-"""The shift ladder's second trial in a forked worker (solver._SecondShift):
+"""The shift ladder's second trial in a forked worker (newton._SecondShift):
 the same bits as the local ladder, and no process left behind."""
 
 import multiprocessing
@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse
 
 from pbfem import (DynamicProblem, FESpace, PenaltyBarrierParams, SolverConfig,
-                   TranscribedNLP, initial_guess, solve, solver, uniform_mesh)
+                   TranscribedNLP, initial_guess, newton, plans, solve, uniform_mesh)
 from pbfem.benchmarks import build
 from pbfem.cli import RunConfig, solve_benchmark
 from pbfem.collocation import CollocationScheme, transcribe_collocation
@@ -41,12 +41,12 @@ def first_refusal(monkeypatch, kind, n):
     """The Newton system, gradient and first shift of the first direction
     call of a pendulum-a solve that SuperLU refuses at that shift."""
     def direction(system, g, floor, mu, ahead=None):
-        if solver._trial(system, mu) is None:
+        if newton._trial(system, mu) is None:
             raise _Found(system, g, mu)
         return newton_direction(system, g, floor, mu, ahead)
 
-    newton_direction = solver._newton_direction
-    monkeypatch.setattr(solver, "_newton_direction", direction)
+    newton_direction = newton._newton_direction
+    monkeypatch.setattr(newton, "_newton_direction", direction)
     nlp, start = pendulum_nlp(kind, n)
     with pytest.raises(_Found) as found:
         solve(nlp, start)
@@ -62,11 +62,11 @@ def ladder(system, g, mu, worker):
     system.solve = lambda shift: tried.append(shift) or local(shift)
     ahead = None
     if worker:
-        ahead = solver._SecondShift()
+        ahead = newton._SecondShift()
         ahead.after(system, needed_second=True)
         assert ahead._drain()  # the worker is ready
     try:
-        d, shift = solver._newton_direction(system, g, REGULARIZATION_FLOOR, mu, ahead)
+        d, shift = newton._newton_direction(system, g, REGULARIZATION_FLOOR, mu, ahead)
     finally:
         del system.solve
         if ahead is not None:
@@ -84,7 +84,7 @@ def always_paid(monkeypatch):
     trial paid, so that a small solve exercises the worker throughout;
     counts the trials the worker answered."""
     taken = []
-    take = solver._SecondShift.take
+    take = newton._SecondShift.take
 
     def take_and_forget(self, *args):
         taken.append(self._worker is not None)
@@ -92,12 +92,12 @@ def always_paid(monkeypatch):
         self.paid = True
         return d
 
-    monkeypatch.setattr(solver._SecondShift, "take", take_and_forget)
+    monkeypatch.setattr(newton._SecondShift, "take", take_and_forget)
     return taken
 
 
 def no_worker(monkeypatch):
-    monkeypatch.setattr(solver, "_start_worker", lambda size: None)
+    monkeypatch.setattr(newton, "_start_worker", lambda size: None)
 
 
 @needs_worker
@@ -133,7 +133,7 @@ class TestSameBits:
         nlp.params = PenaltyBarrierParams(1e-6, 1e-6)
         g, system = nlp.newton_system(nlp.interior_push(nlp.from_trajectory(start), 1e-6))
         assert system.refine and len(system.rhs) > system.dim
-        ahead = solver._SecondShift()
+        ahead = newton._SecondShift()
         ahead.after(system, needed_second=True)
         assert ahead._drain()
         try:
@@ -147,63 +147,58 @@ class TestSameBits:
         # a tracer replaces solve on the instance; only the system's
         # fields are shipped, its right-hand side among them
         system, g, mu = first_refusal(monkeypatch, "lgr", 3)
-        second = solver._next_shift(mu, REGULARIZATION_FLOOR, system.diag_scale)
+        second = newton._next_shift(mu, REGULARIZATION_FLOOR, system.diag_scale)
 
         def first_only(shift):
             assert shift == mu, "the second shift is the worker's"
             return type(system).solve(system, shift)
 
         system.solve = first_only
-        arrays, places, scalars, size = solver._shipment(system)
-        assert set(scalars) == {"diag_scale", "dim", "refine"}
+        arrays, places, scalars, size = newton._shipment(system)
+        assert set(scalars) == {"diag_scale", "dim", "refine", "plan"}
         assert "rhs" in [p[0] for p in places]
-        ahead = solver._SecondShift()
+        ahead = newton._SecondShift()
         ahead.after(system, needed_second=True)
         assert ahead._drain()
         try:
-            d, shift = solver._newton_direction(system, g, REGULARIZATION_FLOOR, mu, ahead)
+            d, shift = newton._newton_direction(system, g, REGULARIZATION_FLOOR, mu, ahead)
         finally:
             ahead.close()
         assert shift == second
         assert same_bits(d, type(system).solve(system, second))
 
-    def test_column_orders_the_worker_does_not_hold(self, monkeypatch):
-        # the worker holds no column orders of its own: it factors in the
-        # order shipped with a trial, and orders the pattern itself when
-        # none is shipped; either way its direction is the bits this
-        # process gets from the order it holds
+    def test_worker_orders_each_pattern_itself(self, monkeypatch):
+        # the worker's first trial of a pattern orders it, and its later
+        # trials factor in that order; each gives this process's bits
         system, g, mu = first_refusal(monkeypatch, "lgr", 3)
-        second = solver._next_shift(mu, REGULARIZATION_FLOOR, system.diag_scale)
+        second = newton._next_shift(mu, REGULARIZATION_FLOOR, system.diag_scale)
         system.orders.clear()
-        ahead = solver._SecondShift()
+        ahead = newton._SecondShift()
         ahead.after(system, needed_second=True)
         assert ahead._drain()
-        local = solver._trial
+        local = newton._trial
 
         def no_local_trial(system, shift):
             raise AssertionError("the direction did not come from the worker")
 
         try:
-            shipped = []
-            for _ in range(2):
-                places = solver._shipment(system, second)[1]
-                shipped.append("order" in [p[0] for p in places])
+            for _ in range(3):
+                ahead.paid = True  # however the last trial paid
                 assert ahead.submit(system, second)
                 here = system.solve(second)
-                assert system.orders  # ordered here, by then
-                monkeypatch.setattr(solver, "_trial", no_local_trial)
+                monkeypatch.setattr(newton, "_trial", no_local_trial)
                 d = ahead.take(system, second)
-                monkeypatch.setattr(solver, "_trial", local)
-                assert same_bits(d, here) and same_bits(d, system.solve(second))
+                monkeypatch.setattr(newton, "_trial", local)
+                assert same_bits(d, here)
         finally:
             ahead.close()
-        assert shipped == [False, True]
+        assert len(system.orders) == 1
 
 
 @needs_worker
 def test_trials_stop_in_a_stage_where_they_do_not_pay(monkeypatch):
     system, g, mu = first_refusal(monkeypatch, "lgr", 3)
-    ahead = solver._SecondShift()
+    ahead = newton._SecondShift()
     ahead.after(system, needed_second=True)
     assert ahead._drain()
     # the worker reports its trial as free: waiting for it did not pay
@@ -222,6 +217,53 @@ def test_trials_stop_in_a_stage_where_they_do_not_pay(monkeypatch):
         ahead.close()
 
 
+def hand_plan(H):
+    """A Gauss-Newton plan of the slots of the sparse matrix H, each slot
+    summing one value, and H's values."""
+    coo = H.tocoo()
+    slots = plans._SlotSums.__new__(plans._SlotSums)
+    slots.rows, slots.cols = coo.row.astype(np.int32), coo.col.astype(np.int32)
+    slots.pos = slots.run = np.arange(coo.nnz)
+    return plans._ShiftedPlan(slots, H.shape[0], None, None, None), coo.data
+
+
+def shipped(system):
+    """The buffer, places and scalars of ``system``'s shipment, written as
+    _SecondShift.submit writes them."""
+    arrays, places, scalars, size = newton._shipment(system)
+    buf = bytearray(size)
+    for a, (_, dtype, shape, at) in zip(arrays, places):
+        np.ndarray(shape, dtype, buffer=buf, offset=at)[...] = a
+    return buf, places, scalars
+
+
+def test_regrown_plan_gets_no_stale_order():
+    # a plan remade with more slots, whose system leaves out the same
+    # slots (none) as the old plan's: the worker keeps an order per plan
+    # number, so the new system is ordered afresh, not in the old
+    # pattern's order and relabelled structure
+    rng = np.random.default_rng(3)
+    old = scipy.sparse.random(12, 12, density=0.2, random_state=rng, format="csc")
+    old = old + scipy.sparse.diags(10.0 + rng.random(12))
+    extra = scipy.sparse.random(12, 12, density=0.1, random_state=rng, format="csc")
+    new = old + extra + extra.T
+    rhs = rng.standard_normal(12)
+    systems = [plan.system(values, None, 1.0, rhs) for plan, values in map(hand_plan, (old, new))]
+    a, b = systems
+    assert a.pattern(0.0) == b.pattern(0.0) and a.plan != b.plan
+    assert len(b.data) > len(a.data)
+    kept = {}
+    for system in (a, a, b, b):
+        d = newton._shipped_trial(*shipped(system), 0.0, kept)
+        assert same_bits(d, system.solve(0.0))
+    assert list(kept) == [a.plan, b.plan]
+    # each plan's order was made at its first trial and kept, with the
+    # relabelled structure its later trial made
+    for system in systems:
+        (order,) = kept[system.plan].values()
+        assert order.indices is not None and len(order.indices) == len(system.indices)
+
+
 def report_bits(report):
     return (report.F_h, report.r_feas, report.status, report.stages,
             report.trajectory.coeffs.tobytes())
@@ -236,9 +278,25 @@ class TestSolve:
         no_worker(monkeypatch)
         assert report_bits(solve(*pendulum_nlp(kind, n))) == report_bits(with_worker)
 
+    def test_no_shipment_carries_an_order(self, monkeypatch, always_paid):
+        shipments = []
+        shipment = newton._shipment
+
+        def spied(system):
+            arrays, places, scalars, size = shipment(system)
+            shipments.append(([p[0] for p in places], set(scalars)))
+            return arrays, places, scalars, size
+
+        monkeypatch.setattr(newton, "_shipment", spied)
+        solve(*pendulum_nlp("lgr", 3))
+        assert always_paid and len(shipments) > len(always_paid)
+        fields = (["data", "indices", "indptr", "diag", "rhs", "drop"],
+                  {"diag_scale", "dim", "refine", "plan"})
+        assert all(shipped == fields for shipped in shipments)
+
     def test_worker_killed_mid_solve(self, monkeypatch, always_paid):
         # the worker dies with the 10th trial sent to it in flight
-        submit = solver._SecondShift.submit
+        submit = newton._SecondShift.submit
         sent = []
 
         def submit_then_kill(self, *args):
@@ -248,7 +306,7 @@ class TestSolve:
                 os.kill(self._worker[0].pid, signal.SIGKILL)
             return ok
 
-        monkeypatch.setattr(solver._SecondShift, "submit", submit_then_kill)
+        monkeypatch.setattr(newton._SecondShift, "submit", submit_then_kill)
         killed = solve(*pendulum_nlp("lgr", 3))
         assert sent.count(True) == 10 and len(sent) > sent.index(True) + 20
         assert multiprocessing.active_children() == []
@@ -299,7 +357,7 @@ class TestNoWorker:
     def test_one_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         forbid_fork(monkeypatch)
-        assert solver._start_worker(1024) is None
+        assert newton._start_worker(1024) is None
         report = solve(*pendulum_nlp("lgr", 3))
         no_worker(monkeypatch)
         assert report_bits(solve(*pendulum_nlp("lgr", 3))) == report_bits(report)
