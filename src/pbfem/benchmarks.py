@@ -174,7 +174,7 @@ def _load_reference(name: str):
         doc = json.loads(path.read_text())
     except (FileNotFoundError, ModuleNotFoundError):
         return None, None
-    return Trajectory.from_json(json.dumps(doc["trajectory"])), doc["objective"]
+    return Trajectory.from_dict(doc["trajectory"]), doc["objective"]
 
 
 def build(name: str) -> BenchmarkSpec:

@@ -19,7 +19,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -116,7 +115,7 @@ class RunConfig:
 
 
 def _output_dir(config_dir: str) -> Path:
-    out = Path(os.environ.get("PBF_OUTPUT_DIR", config_dir))
+    out = Path(config_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -157,6 +156,15 @@ def solve_benchmark(config: RunConfig, spec, mesh=None, sequence=()):
     return report
 
 
+def _solve_or_fail(config: RunConfig, spec, label: str):
+    """``solve_benchmark``'s report, or None after printing the failure under ``label``."""
+    try:
+        return solve_benchmark(config, spec)
+    except (EvaluationError, BarrierDomainError, RuntimeError) as exc:
+        print(f"{label}: failed ({exc})")
+        return None
+
+
 def _ringing_report(spec, trajectory) -> dict | None:
     window = spec.metadata.get("singular_window")
     if window is None:
@@ -177,18 +185,23 @@ def _reference_error(spec, trajectory) -> float | None:
     return control_error(trajectory, ref, window, "l2", problem=spec.problem)
 
 
-def _write_samples_csv(path: Path, problem, trajectory, p: int, n_elements: int):
-    t = np.linspace(problem.t0, problem.tE, 10 * p * n_elements + 1)
-    cols = [("t", t)]
-    for j in range(problem.n_y):
-        cols.append((f"y{j + 1}", trajectory.component(j, t)))
-    for j in range(problem.n_z):
-        cols.append((f"z{j + 1}", trajectory.component(problem.n_y + j, t)))
+def _write_columns_csv(path: Path, cols: dict):
+    """A header of column names, then one row of ``repr(float)`` per sample."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([name for name, _ in cols])
-        for i in range(len(t)):
-            writer.writerow([repr(float(col[i])) for _, col in cols])
+        writer.writerow(list(cols))
+        for row in zip(*cols.values()):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def _write_samples_csv(path: Path, problem, trajectory, p: int, n_elements: int):
+    t = np.linspace(problem.t0, problem.tE, 10 * p * n_elements + 1)
+    cols = {"t": t}
+    for j in range(problem.n_y):
+        cols[f"y{j + 1}"] = trajectory.component(j, t)
+    for j in range(problem.n_z):
+        cols[f"z{j + 1}"] = trajectory.component(problem.n_y + j, t)
+    _write_columns_csv(path, cols)
 
 
 def _converged(report) -> bool:
@@ -200,10 +213,8 @@ def _converged(report) -> bool:
 def cmd_solve(config: RunConfig) -> int:
     spec = build(config.problem)
     out = _output_dir(config.output_dir)
-    try:
-        report = solve_benchmark(config, spec)
-    except (EvaluationError, BarrierDomainError, RuntimeError) as exc:
-        print(f"{config.problem} {config.method}: failed ({exc})")
+    report = _solve_or_fail(config, spec, f"{config.problem} {config.method}")
+    if report is None:
         return 1
     ringing = _ringing_report(spec, report.trajectory)
     err = _reference_error(spec, report.trajectory)
@@ -248,11 +259,9 @@ def cmd_study(config: RunConfig, element_counts) -> int:
     study = ConvergenceStudy(config.problem, config.method)
     worst = 0
     for n in counts:
-        try:
-            report = solve_benchmark(dataclasses.replace(config, n_elements=n), spec)
-        except (EvaluationError, BarrierDomainError, RuntimeError) as exc:
-            print(f"n={n}: failed ({exc})")
-            worst = max(worst, 1)
+        report = _solve_or_fail(dataclasses.replace(config, n_elements=n), spec, f"n={n}")
+        if report is None:
+            worst = 1
             continue
         err = _reference_error(spec, report.trajectory)
         row = StudyRow(
@@ -264,7 +273,7 @@ def cmd_study(config: RunConfig, element_counts) -> int:
         )
         study.add(row)
         if not _converged(report):
-            worst = max(worst, 1)
+            worst = 1
         print(f"n={n}: status={report.status} r_feas={report.r_feas:.3e}"
               + (f" g_opt={report.g_opt:.3e}" if report.g_opt is not None else ""))
     stem = f"{config.problem}_{config.method}_study"
@@ -291,10 +300,8 @@ def cmd_compare(config: RunConfig, methods) -> int:
     scores = {}
     worst = 0
     for method, run in zip(methods, runs):
-        try:
-            report = solve_benchmark(run, spec)
-        except (EvaluationError, BarrierDomainError, RuntimeError) as exc:
-            print(f"{method}: failed ({exc})")
+        report = _solve_or_fail(run, spec, method)
+        if report is None:
             return 1
         u = control_values(spec.problem, report.trajectory, t)
         cols[method] = u
@@ -306,11 +313,7 @@ def cmd_compare(config: RunConfig, methods) -> int:
     if spec.reference_trajectory is not None:
         cols["reference"] = spec.reference_control(t)
     stem = f"{config.problem}_compare"
-    with open(out / f"{stem}_controls.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(cols))
-        for i in range(len(t)):
-            writer.writerow([repr(float(cols[name][i])) for name in cols])
+    _write_columns_csv(out / f"{stem}_controls.csv", cols)
     (out / f"{stem}_report.json").write_text(json.dumps(
         {"problem": config.problem, "window": [float(window[0]), float(window[1])],
          "ringing_scores": scores}, indent=2))

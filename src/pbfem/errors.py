@@ -21,8 +21,8 @@ class EvaluationError(RuntimeError):
 class BarrierDomainError(RuntimeError):
     """A barrier term was requested at a nonpositive algebraic value.
 
-    Used by the line search as a rejection signal; ``component`` and
-    ``node`` identify where positivity failed.
+    It rejects a line-search step, or fails a solve whose stage start cannot
+    be made interior; ``component`` and ``node`` identify where positivity failed.
     """
 
     def __init__(self, component: int, node: float, value: float):

@@ -250,9 +250,12 @@ class Trajectory:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "Trajectory":
-        d = json.loads(text)
+    def from_dict(cls, d: dict) -> "Trajectory":
         return cls(FESpace.from_dict(d["space"]), np.array(d["coeffs"]))
+
+    @classmethod
+    def from_json(cls, text: str) -> "Trajectory":
+        return cls.from_dict(json.loads(text))
 
 
 def evaluate(trajectory: Trajectory, t, derivative_order: int = 0) -> np.ndarray:

@@ -23,7 +23,7 @@ from .transcription import PenaltyBarrierParams
 
 __all__ = ["SolverConfig", "SolveReport", "solve", "initial_guess"]
 
-# Lipschitz-style constants used only to size interior-push thresholds
+# Lipschitz-style constants used only to size interior-margin thresholds
 L_F_DEFAULT = 2.0
 L_R_DEFAULT = 2.0
 
@@ -92,28 +92,21 @@ def _stage_schedule(config: SolverConfig):
 def _make_interior(nlp, x, tau, omega):
     """Restore a strictly interior iterate with the least disturbance.
 
-    Local margin shifts repair isolated dips of the algebraic quadrature
-    values (typical between continuation stages, where they barely change
-    the merit); only if those fail does the coefficient clip and finally a
-    unit reset take over."""
+    Local margin shifts, the threshold growing fourfold per round, repair
+    isolated dips of the algebraic quadrature values (typical between
+    continuation stages, where they barely change the merit); after twenty
+    failed rounds the last ``BarrierDomainError`` fails the solve."""
     l_omega = L_F_DEFAULT + L_R_DEFAULT / (2.0 * omega)
     threshold = max(tau / l_omega, 1e-14)
-    for _ in range(20):
+    for _ in range(19):
         x = nlp.interior_margin(x, threshold)
         try:
             nlp.barrier(x)
             return x
         except BarrierDomainError:
             threshold *= 4.0
-    x = nlp.interior_push(x, max(tau, 1e-10))
-    try:
-        nlp.barrier(x)
-        return x
-    except BarrierDomainError:
-        pass
-    # pathological coefficient spread: fall back to a unit interior point
-    x = np.array(x)
-    x[nlp.z_dof_indices] = 1.0
+    x = nlp.interior_margin(x, threshold)
+    nlp.barrier(x)
     return x
 
 

@@ -1,9 +1,13 @@
+import importlib.resources
+import json
+
 import numpy as np
 import pytest
 
 from pbfem import (
     FESpace,
     InputError,
+    Trajectory,
     control_values,
     evaluate_dae_residual,
     registered_names,
@@ -115,3 +119,14 @@ def test_reference_control_absent_is_none():
         u = spec.reference_control(np.array([0.1, 3.9]))
         assert u.shape == (2,)
         assert np.all(np.abs(u) <= 1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("name", EXPECTED)
+def test_reference_parsed_once_keeps_the_bits(name):
+    # against the dict dumped back to text and parsed again: JSON floats round-trip exactly
+    text = importlib.resources.files("pbfem").joinpath(f"refdata/{name}.json").read_text()
+    old = Trajectory.from_json(json.dumps(json.loads(text)["trajectory"]))
+    new = build(name).reference_trajectory
+    assert new.space.to_dict() == old.space.to_dict()
+    for a, b in [(new.coeffs, old.coeffs), (new.space.mesh.nodes, old.space.mesh.nodes)]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -67,9 +67,8 @@ class TestExitCodes:
 
 
 class TestSolveArtifacts:
-    def test_solve_writes_artifacts(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PBF_OUTPUT_DIR", str(tmp_path))
-        assert main(["solve", *FAST]) == 0
+    def test_solve_writes_artifacts(self, tmp_path):
+        assert main(["solve", *FAST, "--output-dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "vanderpol_pbf_report.json").read_text())
         assert report["status"] in ("converged", "stalled")
         assert report["r_feas"] <= 1e-3
@@ -121,6 +120,22 @@ class TestSolveFailure:
 
         monkeypatch.setattr(cli, "solve", failing)
         self._assert_failed(capsys, tmp_path, str(error), command)
+
+    def test_stage_start_that_stays_outside(self, tmp_path, monkeypatch, capsys):
+        # a barrier that rejects every point: the twenty margin rounds of the
+        # first stage fail, and so does the solve, before any Newton step
+        error = BarrierDomainError(0, 1.5, -0.25)
+        calls = []
+
+        def rejecting(nlp, x):
+            calls.append(x)
+            raise error
+
+        monkeypatch.setattr(TranscribedNLP, "barrier", rejecting)
+        monkeypatch.setattr(TranscribedNLP, "newton_system",
+                            lambda *a: pytest.fail("no Newton step from outside the domain"))
+        self._assert_failed(capsys, tmp_path, str(error))
+        assert len(calls) == 20
 
 
 class TestStudy:

@@ -1,8 +1,10 @@
 """The Newton linear algebra sits behind one module.
 
 ``pbfem.newton`` is the only module that reaches SuperLU and SciPy's private
-sparse modules, the solver takes no private name from the transcription,
-and the imports run transcription -> plans -> newton and solver -> newton.
+sparse modules, and the only one that imports the operating-system modules of
+the shift-ladder worker; the solver takes no private name from the
+transcription, and the imports run transcription -> plans -> newton and
+solver -> newton.
 """
 
 import ast
@@ -48,6 +50,14 @@ def test_only_newton_reaches_superlu(module):
         assert reached
     else:
         assert reached == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_newton_reaches_the_os(module):
+    # the shift-ladder worker's malloc settings, shared buffer, signals and fork
+    os_modules = {"ctypes", "mmap", "signal", "multiprocessing"}
+    reached = {m.split(".")[0] for m, _ in imports(module)} & os_modules
+    assert reached == (os_modules if module == "newton" else set())
 
 
 def test_imports_run_towards_newton():

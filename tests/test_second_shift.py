@@ -39,18 +39,19 @@ class _Found(Exception):
 
 def first_refusal(monkeypatch, kind, n):
     """The Newton system, gradient and first shift of the first direction
-    call of a pendulum-a solve that SuperLU refuses at that shift."""
+    call of a pendulum-a solve that SuperLU refuses at that shift.  Only
+    this helper's own patch is undone, not those of earlier fixtures."""
     def direction(system, g, floor, mu, ahead=None):
         if newton._trial(system, mu) is None:
             raise _Found(system, g, mu)
         return newton_direction(system, g, floor, mu, ahead)
 
     newton_direction = newton._newton_direction
-    monkeypatch.setattr(newton, "_newton_direction", direction)
-    nlp, start = pendulum_nlp(kind, n)
-    with pytest.raises(_Found) as found:
-        solve(nlp, start)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(newton, "_newton_direction", direction)
+        nlp, start = pendulum_nlp(kind, n)
+        with pytest.raises(_Found) as found:
+            solve(nlp, start)
     return found.value.args
 
 
@@ -98,6 +99,13 @@ def always_paid(monkeypatch):
 
 def no_worker(monkeypatch):
     monkeypatch.setattr(newton, "_start_worker", lambda size: None)
+
+
+def test_first_refusal_keeps_the_fixtures_patches(monkeypatch, always_paid):
+    take = newton._SecondShift.take
+    first_refusal(monkeypatch, "lgr", 3)
+    assert newton._SecondShift.take is take and take.__name__ == "take_and_forget"
+    assert newton._newton_direction.__name__ == "_newton_direction"
 
 
 @needs_worker

@@ -185,18 +185,19 @@ class TestNonFiniteOutput:
 class _RepairStub:
     """An NLP whose barrier accepts x once every algebraic dof reaches
     ``floor``.  Its margin lifts the dofs to the threshold, or, with
-    ``margin_works`` False, leaves them as they are; its clip lifts them."""
+    ``margin_works`` False, leaves them as they are."""
 
     z_dof_indices = np.array([1, 3])
 
     def __init__(self, floor, margin_works=True):
         self.floor, self.margin_works = floor, margin_works
-        self.calls = []
+        self.calls, self.raised = [], []
 
     def barrier(self, x):
         z = x[self.z_dof_indices]
         if np.min(z) < self.floor:
-            raise BarrierDomainError(int(np.argmin(z)), 0.0, float(np.min(z)))
+            self.raised.append(BarrierDomainError(int(np.argmin(z)), 0.0, float(np.min(z))))
+            raise self.raised[-1]
         return -float(np.sum(np.log(z)))
 
     def _lift(self, x, threshold):
@@ -207,10 +208,6 @@ class _RepairStub:
     def interior_margin(self, x, threshold):
         self.calls.append(("margin", threshold))
         return self._lift(x, threshold) if self.margin_works else np.array(x)
-
-    def interior_push(self, x, threshold):
-        self.calls.append(("clip", threshold))
-        return self._lift(x, threshold)
 
 
 class TestMakeInterior:
@@ -232,12 +229,23 @@ class TestMakeInterior:
         assert calls == [("margin", self.T0 * 4.0 ** i) for i in range(k)]
         assert np.array_equal(x[[1, 3]], [self.T0 * 4.0 ** (k - 1)] * 2)
 
-    def test_clip_after_twenty_failed_margins(self):
-        x, calls = self._repair(_RepairStub(self.TAU, margin_works=False))
-        assert calls == [("margin", self.T0 * 4.0 ** i) for i in range(20)] + [("clip", self.TAU)]
-        assert np.array_equal(x[[1, 3]], [self.TAU] * 2)
+    def test_raises_after_twenty_failed_margins(self):
+        # no clip and no reset follow: the last margin round's error fails the solve
+        nlp = _RepairStub(self.TAU, margin_works=False)
+        with pytest.raises(BarrierDomainError) as info:
+            _make_interior(nlp, self.X, self.TAU, self.OMEGA)
+        assert nlp.calls == [("margin", self.T0 * 4.0 ** i) for i in range(20)]
+        assert len(nlp.raised) == 20 and info.value is nlp.raised[-1]
 
-    def test_unit_reset_when_the_clip_fails(self):
-        x, calls = self._repair(_RepairStub(0.5, margin_works=False))
-        assert calls[-1] == ("clip", self.TAU) and len(calls) == 21
-        assert np.array_equal(x[[1, 3]], [1.0, 1.0])
+    def test_solve_raises_when_a_stage_start_stays_outside(self):
+        prob = trivial_problem()
+        space = FESpace(uniform_mesh(0.0, 1.0, 3), 2, 1, 1)
+        nlp = TranscribedNLP(prob, space)
+        margins = []
+        nlp.interior_margin = lambda x, threshold: margins.append(threshold) or x
+        nlp.newton_system = lambda x: pytest.fail("no Newton step from outside the domain")
+        x0 = nlp.from_trajectory(initial_guess(prob, space))
+        x0[nlp.z_dof_indices] = -1.0
+        with pytest.raises(BarrierDomainError):
+            solve(nlp, x0)
+        assert len(margins) == 20
