@@ -262,12 +262,12 @@ def transcribe_collocation(problem, mesh, scheme: CollocationScheme,
 
 
 def detect_ringing(control_samples, window: int = 1) -> float:
-    """Oscillation score of a uniformly sampled control signal.
+    """Oscillation score of a uniformly sampled control.
 
     Counts sign changes of the discrete second difference (optionally after
     a moving-average smoothing of width ``window``) and divides by the
     sample count.  Scores near 1 mean node-to-node oscillation; smooth
-    signals score well below 0.1.  A score above 0.3 is the conventional
+    controls score well below 0.1.  A score above 0.3 is the conventional
     flag threshold for ringing.
     """
     s = np.asarray(control_samples, dtype=float)

@@ -10,22 +10,16 @@ union of the slot lists chunk by chunk, so that its transient index
 arrays stay small however large the mesh: plans are built inside a solve,
 where their transient memory is peak memory.  A plan's values become a
 Newton system of ``pbfem.newton``, which keeps the column orders of the
-plan's patterns under the plan's number.
+plan's patterns in the plan's ``orders``; a remade plan starts with none,
+so no order of an old plan's pattern serves it.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 import scipy.sparse
 
 from .newton import _NewtonSystem
-
-# plan numbers, unique in the process: the shift-ladder worker keeps its
-# column orders by plan number, and a remade plan takes a new one, so that
-# no order kept for an old plan's pattern serves it
-_PLAN_NUMBERS = itertools.count()
 
 # COO entries, or union slots, that the plan build handles at a time: its
 # transient index arrays stay a few hundred kB however large the mesh
@@ -316,7 +310,7 @@ class _ShiftedPlan:
         self.run = pos_h[hess.run]
         del hess.rows, hess.cols, hess.run
         self.hess = hess
-        self.orders, self.number = {}, next(_PLAN_NUMBERS)
+        self.orders = {}
 
     def system(self, Hc, jp, omega, rhs):
         data = _slot_values(self.run, Hc.ravel()[self.hess.pos], len(self.indices))
@@ -394,7 +388,7 @@ class _SaddlePlan:
         optional[self.pos_jp] = True
         optional[self.diag] = False
         self.optional = np.flatnonzero(optional).astype(np.int32)
-        self.orders, self.number = {}, next(_PLAN_NUMBERS)
+        self.orders = {}
 
     def system(self, Hc, jqv, jp, omega, rhs):
         data = _slot_values(self.run, Hc.ravel()[self.hess.pos], len(self.indices))

@@ -137,7 +137,7 @@ def _line_search(nlp, x, d, phi, slope, alpha0):
     return None, None
 
 
-def _run_stage(nlp, x, config, ahead):
+def _run_stage(nlp, x, config):
     """Damped Newton with an adaptive Levenberg shift.
 
     The shift mu grows whenever a step is rejected and shrinks after full
@@ -168,7 +168,6 @@ def _run_stage(nlp, x, config, ahead):
     final_grad = None
     best_gnorm = np.inf
     since_best = 0
-    ahead.new_stage()
     while it < config.max_iters:
         g, H = nlp.newton_system(x)
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
@@ -199,7 +198,7 @@ def _run_stage(nlp, x, config, ahead):
         accepted = False
         for _ in range(12):
             d, mu_used = newton._newton_direction(H, g, REGULARIZATION_FLOOR,
-                                                  max(mu, mu_floor), ahead)
+                                                  max(mu, mu_floor))
             if d is None:
                 break
             alpha_max = _max_step(nlp, x, d, FRACTION_TO_BOUNDARY)
@@ -243,12 +242,6 @@ def solve(nlp, initial, config: SolverConfig | None = None,
     coefficient vector.  The report carries an independently computed
     feasibility residual, not the assembled one, so quadrature blind spots
     cannot hide infeasibility.
-
-    On Linux with two or more CPUs, a solve whose Newton matrices need the
-    second Levenberg shift forks one worker process that factors it beside
-    the first (:class:`pbfem.newton._SecondShift`); the worker is stopped
-    before ``solve`` returns or raises, and the results are the same bits
-    as without it.
     """
     config = config or SolverConfig()
     t_start = time.perf_counter()
@@ -256,18 +249,14 @@ def solve(nlp, initial, config: SolverConfig | None = None,
     x = np.array(x, dtype=float)
     report_stages = []
     status = "converged"
-    ahead = newton._SecondShift()
-    try:
-        for omega, tau in _stage_schedule(config):
-            nlp.params = PenaltyBarrierParams(omega, tau)
-            x = _make_interior(nlp, x, tau, omega)
-            x, phi, status, iters, final_grad = _run_stage(nlp, x, config, ahead)
-            report_stages.append(
-                {"omega": omega, "tau": tau, "iters": iters, "status": status,
-                 "final_merit": float(phi), "final_grad": final_grad}
-            )
-    finally:
-        ahead.close()
+    for omega, tau in _stage_schedule(config):
+        nlp.params = PenaltyBarrierParams(omega, tau)
+        x = _make_interior(nlp, x, tau, omega)
+        x, phi, status, iters, final_grad = _run_stage(nlp, x, config)
+        report_stages.append(
+            {"omega": omega, "tau": tau, "iters": iters, "status": status,
+             "final_merit": float(phi), "final_grad": final_grad}
+        )
     x = np.asarray(x, dtype=np.float64)
     trajectory = nlp.to_trajectory(x)
     F_h = float(nlp.objective(x))

@@ -51,7 +51,6 @@ def splu_direction(system, shift):
     ("pendulum-a", "lgr", 3, "gauss-newton", True),  # refused at shift 0, again and again
 ])
 def test_every_ladder_matrix_equals_splu(monkeypatch, name, method, n, form, refused):
-    monkeypatch.setattr(newton, "_start_worker", lambda size: None)
     colamd, factored, calls = [], [], []
 
     def counted_splu(K, *args, **kwargs):

@@ -1,10 +1,10 @@
 """The Newton linear algebra sits behind one module.
 
 ``pbfem.newton`` is the only module that reaches SuperLU and SciPy's private
-sparse modules, and the only one that imports the operating-system modules of
-the shift-ladder worker; the solver takes no private name from the
-transcription, and the imports run transcription -> plans -> newton and
-solver -> newton.
+sparse modules, and no module imports the operating system's process,
+signal, shared-memory or foreign-function modules; the solver takes no
+private name from the transcription, and the imports run transcription ->
+plans -> newton and solver -> newton.
 """
 
 import ast
@@ -53,11 +53,11 @@ def test_only_newton_reaches_superlu(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_only_newton_reaches_the_os(module):
-    # the shift-ladder worker's malloc settings, shared buffer, signals and fork
+def test_no_module_reaches_the_os(module):
+    # every Newton direction is factored in the solving process
     os_modules = {"ctypes", "mmap", "signal", "multiprocessing"}
     reached = {m.split(".")[0] for m, _ in imports(module)} & os_modules
-    assert reached == (os_modules if module == "newton" else set())
+    assert reached == set()
 
 
 def test_imports_run_towards_newton():
