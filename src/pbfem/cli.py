@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -60,6 +61,15 @@ class RunConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        # a config file may hold any JSON value: an int field takes an integer
+        # and a float field a number, never a bool, and None only as default
+        for f in dataclasses.fields(self):
+            kind = f.type.split(" | ")[0]
+            wanted = {"int": numbers.Integral, "float": numbers.Real}.get(kind)
+            value = getattr(self, f.name)
+            if wanted and not (value is None and f.default is None) and (
+                    isinstance(value, bool) or not isinstance(value, wanted)):
+                raise InputError(f"{f.name} must be {'an integer' if kind == 'int' else 'a number'}")
         if self.problem not in registered_names():
             raise InputError(
                 f"unknown problem {self.problem!r}; registered: "

@@ -45,7 +45,8 @@ class Mesh:
     @classmethod
     def from_intervals(cls, intervals) -> "Mesh":
         intervals = sorted((float(a), float(b)) for a, b in intervals)
-        nodes = [intervals[0][0]]
+        # no intervals give no nodes, which the constructor refuses
+        nodes = [a for a, _ in intervals[:1]]
         for a, b in intervals:
             if not np.isclose(a, nodes[-1]):
                 raise InputError("intervals must be disjoint and cover the horizon")

@@ -3,10 +3,11 @@ SuperLU, and the Levenberg shift ladder, which factors every shift it
 tries in the calling process.
 
 The matrices of a plan take a few patterns, since only exact zeros are
-left out, so SuperLU's COLAMD orders each pattern once: later matrices of
-the pattern are relabelled by that column order and factored without
-ordering, to the bits of ``splu`` (``_OrderedLU``).  Only this module
-calls SuperLU and SciPy's private ``_superlu`` and ``_sparsetools``.
+left out, so SuperLU's COLAMD orders each pattern once: every later
+matrix of the pattern is one gather of the plan's slot values in that
+column order (``_PatternOrder``), factored without ordering, to the bits
+of ``splu`` (``_OrderedLU``).  Only this module calls SuperLU, and SciPy's
+private ``_superlu`` is the one private name it takes.
 """
 
 from __future__ import annotations
@@ -16,50 +17,49 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
 
 
-def _drop(data, indices, indptr, drop):
-    """CSC arrays with the slots at the sorted positions ``drop`` left out."""
-    if not len(drop):
-        return data, indices, indptr
-    return (np.delete(data, drop), np.delete(indices, drop),
-            (indptr - np.searchsorted(drop, indptr)).astype(np.int32))
-
-
-class _ColumnOrder:
-    """The column order SuperLU's COLAMD gave one pattern (``perm_c``), and
-    the relabelled structure of the systems whose matrices take that
-    pattern, made on first use."""
+class _PatternOrder:
+    """The column order SuperLU's COLAMD gave one pattern of a plan
+    (``perm_c``), and the gather that hands SuperLU every later matrix of
+    the pattern relabelled by it: ``take``, the plan's slots in the order
+    SuperLU receives them, the relabelled ``indices`` and ``indptr``, and
+    ``shift_at``, where the shift lands among them."""
 
     def __init__(self, perm):
         self.perm = perm
-        # old[k]: the column that becomes column k
-        self.old = np.empty_like(perm)
-        self.old[perm] = np.arange(len(perm), dtype=perm.dtype)
-        self.indices = self.indptr = None
+        self.take = None
 
-    def relabel(self, data, indices, indptr):
-        """CSC arrays of the matrix whose row and column ``perm[i]`` are row
-        and column i of the given one; each column keeps its stored entries
-        in their order.  Every call passes the arrays of a system of this
-        order's pattern, so the structure made at the first serves all."""
+    def matrix(self, system, shift):
+        """``system``'s Newton matrix at this shift with row and column
+        ``perm[i]`` its row and column i, each column keeping its stored
+        entries in their order, as SuperLU receives it.  The gather is made
+        at the first call, the pattern's second matrix, once its first LU
+        is freed; every call passes a system of this order's pattern."""
+        if self.take is None:
+            plan, left_out = system.plan, system.left_out(shift)
+            # old[k]: the column that becomes column k
+            old = np.argsort(self.perm)
+            # where each column's kept slots start among the kept slots
+            start = plan.indptr - np.searchsorted(left_out, plan.indptr)
+            counts = np.diff(start)[old]
+            self.indptr = np.r_[0, np.cumsum(counts)].astype(np.int32)
+            at = np.repeat((start[old] - self.indptr[:-1]).astype(np.int32), counts)
+            at += np.arange(len(at), dtype=np.int32)
+            self.take = np.delete(np.arange(len(plan.indices), dtype=np.int32), left_out).take(at)
+            self.indices = self.perm.take(plan.indices.take(self.take))
+            self.shift_at = np.flatnonzero(np.isin(self.take, plan.diag))
+        data = system.values.take(self.take)
+        data[self.shift_at] += shift
         n = len(self.perm)
-        new_indices, new_data = np.empty_like(indices), np.empty_like(data)
-        # the column copy that scipy's column indexing runs, without its checks
-        _sparsetools.csr_row_index(n, self.old, indptr, indices, data, new_indices, new_data)
-        if self.indices is None:
-            self.indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(np.diff(indptr)[self.old], out=self.indptr[1:])
-            self.indices = self.perm.take(new_indices)
-        return new_data, self.indices, self.indptr
+        return scipy.sparse.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
 def _factor(K, order=None):
     """SuperLU's LU factors of K, bit for bit those of ``splu``; with
-    ``order`` (a :class:`_ColumnOrder`), K is a matrix relabelled by it, and
-    the factors solve in the labels before it (:class:`_OrderedLU`)."""
+    ``order`` (a :class:`_PatternOrder`), K is a matrix relabelled by it,
+    and the factors solve in the labels before it (:class:`_OrderedLU`)."""
     if not np.all(np.isfinite(K.data)):
         # SuperLU neither raises nor warns cleanly on non-finite input
         raise ValueError("non-finite Newton matrix")
@@ -70,7 +70,7 @@ def _factor(K, order=None):
 
 class _OrderedLU:
     """LU factors of a matrix A in a column order found before, from A
-    relabelled by it (:meth:`_ColumnOrder.relabel`), solving in A's labels.
+    relabelled by it (:meth:`_PatternOrder.matrix`), solving in A's labels.
 
     SuperLU factors the relabelled matrix without ordering it
     (``ColPerm="NATURAL"``), in the mode ``splu`` runs COLAMD in
@@ -113,73 +113,62 @@ class _NewtonSystem:
     resolves those directions; eliminating y recovers exactly
     (B + mu I + J^T J / omega) d = -(g_smooth + J^T C / omega).
 
-    Holds K without its shift in CSC form, ``diag`` the positions of its
-    first ``dim`` (primal) diagonal entries, whether a solve takes one
-    pass of iterative refinement (the saddle form does), and ``drop``, the
-    sorted positions of the plan's slots that K leaves out.  Zeros on the
-    diagonal are left out once the shift is added.
+    Holds the plan, K's ``values`` without its shift in the plan's slots,
+    ``drop``, the sorted positions of the slots that K leaves out, and
+    whether a solve takes one pass of iterative refinement (the saddle
+    form does).  The shift lands on the plan's ``dim`` primal diagonal
+    slots, and those it makes zero are left out too.
 
-    ``orders`` is the plan's dict of the column order of every pattern of
-    the plan that SuperLU has factored, keyed by the slots the pattern
-    leaves out, never by its entries; later matrices of the pattern are
-    factored in it (:class:`_OrderedLU`).  A remade plan starts a dict of
-    its own.
+    The plan's ``orders`` holds the column order of every pattern of the
+    plan that SuperLU has factored, keyed by the slots the pattern leaves
+    out, never by its entries; later matrices of the pattern are gathered
+    and factored in it (:class:`_PatternOrder`).  A remade plan starts a
+    dict of its own.
     """
 
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    diag: np.ndarray
+    plan: object
+    values: np.ndarray
+    drop: np.ndarray
     diag_scale: float
     rhs: np.ndarray
-    dim: int
     refine: bool
-    drop: np.ndarray
-    orders: dict
 
-    @classmethod
-    def of_plan(cls, plan, data, drop, diag_scale, rhs, refine):
-        """The system of ``plan``'s matrix with values ``data``, the slots
-        at the sorted positions ``drop`` left out."""
-        data, indices, indptr = _drop(data, plan.indices, plan.indptr, drop)
-        diag = plan.diag - np.searchsorted(drop, plan.diag) if len(drop) else plan.diag
-        return cls(data, indices, indptr, diag, diag_scale, rhs, plan.dim, refine, drop,
-                   plan.orders)
+    def left_out(self, shift):
+        """The sorted positions of the plan's slots that the matrix at this
+        shift leaves out: ``drop``, and the diagonal slots the shift zeroes.
+        They are the matrix's pattern, and their bytes key it in the plan's
+        ``orders``."""
+        diag = self.plan.diag
+        zeroed = diag[self.values[diag] + shift == 0]
+        return np.union1d(self.drop, zeroed) if len(zeroed) else self.drop
 
-    def matrix(self, shift, order=None):
-        """The Newton matrix at this shift, relabelled by ``order`` if
-        given, as SuperLU receives it."""
-        if order is None:
-            data, indices, indptr, diag = self.data.copy(), self.indices, self.indptr, self.diag
-        else:
-            data, indices, indptr = order.relabel(self.data, self.indices, self.indptr)
-            # a column keeps its entries' order, so its diagonal entry
-            # keeps its offset from the column's start
-            diag = indptr[order.perm[: self.dim]] + (self.diag - self.indptr[: self.dim])
-        data[diag] += shift
-        data, indices, indptr = _drop(data, indices, indptr, np.sort(diag[data[diag] == 0]))
+    def matrix(self, shift):
+        """The Newton matrix at this shift in the plan's labels."""
+        plan, left_out = self.plan, self.left_out(shift)
+        data, indices, indptr = self.values.copy(), plan.indices, plan.indptr
+        data[plan.diag] += shift
+        if len(left_out):
+            data, indices = np.delete(data, left_out), np.delete(indices, left_out)
+            indptr = (indptr - np.searchsorted(left_out, indptr)).astype(np.int32)
         n = len(indptr) - 1
         return scipy.sparse.csc_matrix((data, indices, indptr), shape=(n, n))
 
-    def pattern(self, shift):
-        """The key in ``orders`` of the matrix's pattern at this shift: the
-        plan's slots left out, and the diagonal entries the shift zeroes."""
-        return self.drop.tobytes(), np.flatnonzero(self.data[self.diag] + shift == 0).tobytes()
-
     def solve(self, shift):
-        key = self.pattern(shift)
-        order = self.orders.get(key)
-        lu = _factor(self.matrix(shift, order), order)
+        key = self.left_out(shift).tobytes()
+        order = self.plan.orders.get(key)
         if order is None:
+            lu = _factor(self.matrix(shift))
             # a copy: SuperLU's own array keeps all of its factors alive
-            self.orders[key] = _ColumnOrder(lu.perm_c.copy())
+            self.plan.orders[key] = _PatternOrder(lu.perm_c.copy())
+        else:
+            lu = _factor(order.matrix(self, shift), order)
         z = lu.solve(self.rhs)
         if self.refine:
             # the graded factors lose a few digits that the residual
             # correction wins back; the residual is formed in the
             # matrix's own labels
             z = z + lu.solve(self.rhs - self.matrix(shift) @ z)
-        return z[: self.dim]
+        return z[: self.plan.dim]
 
 
 def _next_shift(shift, floor, scale):

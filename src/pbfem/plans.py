@@ -8,10 +8,10 @@ remade only if more entries turn nonzero.  It is made a chunk of columns
 (or rows) at a time, replaying scipy's COO conversion and forming the
 union of the slot lists chunk by chunk, so that its transient index
 arrays stay small however large the mesh: plans are built inside a solve,
-where their transient memory is peak memory.  A plan's values become a
-Newton system of ``pbfem.newton``, which keeps the column orders of the
-plan's patterns in the plan's ``orders``; a remade plan starts with none,
-so no order of an old plan's pattern serves it.
+where their transient memory is peak memory.  A plan's slot values become a
+Newton system of ``pbfem.newton``; the plan's ``orders`` keep each pattern's
+column order and gather (one per pattern), and a remade plan starts with
+none, so no order of an old plan's pattern serves it.
 """
 
 from __future__ import annotations
@@ -327,8 +327,7 @@ class _ShiftedPlan:
         diag_scale = float(np.max(np.abs(data[self.diag]), initial=0.0)) or 1.0
         zero = data == 0
         zero[self.diag] = False
-        return _NewtonSystem.of_plan(self, data, np.flatnonzero(zero), diag_scale, rhs,
-                                     refine=False)
+        return _NewtonSystem(self, data, np.flatnonzero(zero), diag_scale, rhs, refine=False)
 
 
 class _SaddlePlan:
@@ -400,4 +399,4 @@ class _SaddlePlan:
         data[self.pos_omega] = -omega
         drop = self.optional[data[self.optional] == 0]
         diag_scale = max(float(np.max(np.abs(data[self.diag]), initial=0.0)), 1.0)
-        return _NewtonSystem.of_plan(self, data, drop, diag_scale, rhs, refine=True)
+        return _NewtonSystem(self, data, drop, diag_scale, rhs, refine=True)

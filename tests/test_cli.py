@@ -60,6 +60,16 @@ class TestExitCodes:
     def test_missing_config_file_is_2(self):
         assert main(["solve", "--config", "/nonexistent/run.json"]) == 2
 
+    @pytest.mark.parametrize("field", [{"n_elements": "40"}, {"omega": None}, {"p": True},
+                                       {"max_iters": 2.5}, {"grad_tol": "1e-8"}])
+    def test_config_field_of_wrong_type_is_2(self, tmp_path, capsys, field):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"problem": "vanderpol", **field}))
+        assert main(["solve", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        (name,) = field
+        assert name in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     def test_list_problems(self, capsys):
         assert main(["list-problems"]) == 0
         out = capsys.readouterr().out

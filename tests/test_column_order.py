@@ -2,10 +2,10 @@
 the bits of ``splu``.
 
 Each pattern of a plan is ordered by COLAMD once, at its first accepted
-``splu``; every later matrix of that pattern is relabelled by that order
-and factored without ordering.  Along every shift ladder of a solve, each
-such factorization must pick ``splu``'s pivots, give its solution bits and
-refuse exactly the matrices ``splu`` refuses.
+``splu``; every later matrix of that pattern is one gather of the plan's
+slot values in that order, factored without ordering.  Along every shift
+ladder of a solve, each such factorization must pick ``splu``'s pivots,
+give its solution bits and refuse exactly the matrices ``splu`` refuses.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ def splu_direction(system, shift):
     z = lu.solve(system.rhs)
     if system.refine:
         z = z + lu.solve(system.rhs - K @ z)
-    return lu, z[: system.dim]
+    return lu, z[: system.plan.dim]
 
 
 @pytest.mark.parametrize("name, method, n, form, refused", [
@@ -63,8 +63,8 @@ def test_every_ladder_matrix_equals_splu(monkeypatch, name, method, n, form, ref
         return lu
 
     def checked_solve(system, shift):
-        pattern = (id(system.orders), system.pattern(shift))
-        order = system.orders.get(pattern[1])
+        pattern = (id(system.plan.orders), system.left_out(shift).tobytes())
+        order = system.plan.orders.get(pattern[1])
         calls.append((pattern, order is not None, system.refine))
         ref_lu, ref = splu_direction(system, shift)
         del factored[:]
@@ -116,9 +116,16 @@ def test_relabelled_matrix_keeps_each_column_in_storage_order(shift):
     plan = plans._ShiftedPlan(slots, 3, None, None, None)
     system = plan.system(H.data, None, 1.0, np.array([1.0, 2.0, 3.0]))
     K = system.matrix(shift)
+    left_out = set(system.left_out(shift).tolist())
     for perm in ([2, 0, 1], [1, 2, 0], [0, 1, 2]):
-        order = newton._ColumnOrder(np.array(perm, dtype=np.intc))
-        R = system.matrix(shift, order)
+        order = newton._PatternOrder(np.array(perm, dtype=np.intc))
+        R = order.matrix(system, shift)
+        # the reference gather: new column k is old column perm.index(k),
+        # its kept slots in storage order
+        take = [slot for k in range(3)
+                for slot in range(plan.indptr[perm.index(k)], plan.indptr[perm.index(k) + 1])
+                if slot not in left_out]
+        assert order.take.dtype == np.int32 and order.take.tolist() == take
         for j in range(3):
             col = slice(K.indptr[j], K.indptr[j + 1])
             new = slice(R.indptr[perm[j]], R.indptr[perm[j] + 1])
@@ -132,4 +139,5 @@ def test_relabelled_matrix_keeps_each_column_in_storage_order(shift):
         except RuntimeError as error:
             d[k] = str(error)
     assert len(plan.orders) == (0 if isinstance(d[0], str) else 1)
+    assert all(order.take is not None for order in plan.orders.values())
     assert (d[0] == d[1]) if isinstance(d[0], str) else d[0].tobytes() == d[1].tobytes()

@@ -1,7 +1,8 @@
 """The Newton linear algebra sits behind one module.
 
 ``pbfem.newton`` is the only module that reaches SuperLU and SciPy's private
-sparse modules, and no module imports the operating system's process,
+sparse modules, SuperLU's ``_superlu`` is the one private SciPy module it
+takes, and no module imports the operating system's process,
 signal, shared-memory or foreign-function modules; the solver takes no
 private name from the transcription, and the imports run transcription ->
 plans -> newton and solver -> newton.
@@ -50,6 +51,15 @@ def test_only_newton_reaches_superlu(module):
         assert reached
     else:
         assert reached == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_newton_takes_a_private_scipy_module(module):
+    # SuperLU's gstrf is the one private SciPy entry point; the Newton
+    # matrices are gathered by NumPy, not by sparsetools' kernels
+    private = [imp for imp in imports(module)
+               if any(part in f"{imp[0]}.{imp[1]}" for part in ("_sparsetools", "_superlu"))]
+    assert private == ([("scipy.sparse.linalg._dsolve", "_superlu")] if module == "newton" else [])
 
 
 @pytest.mark.parametrize("module", MODULES)

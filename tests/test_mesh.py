@@ -39,6 +39,10 @@ class TestMesh:
         with pytest.raises(InputError):
             Mesh.from_intervals([(0.0, 0.4), (0.6, 1.0)])
 
+    def test_from_no_intervals(self):
+        with pytest.raises(InputError):
+            Mesh.from_intervals([])
+
     def test_interval_index_left_convention(self):
         mesh = uniform_mesh(0.0, 1.0, 4)
         assert mesh.interval_index(0.25) == 0

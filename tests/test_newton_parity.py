@@ -159,28 +159,42 @@ def _reference_matrices(nlp, x, params):
     return canonical
 
 
+def _in_plan_labels(K, order):
+    """K as handed to SuperLU, in the plan's labels: with ``order``, the
+    matrix whose row and column i are row and column ``order.perm[i]`` of
+    K, each column in K's storage order."""
+    if order is None:
+        return K
+    old = np.argsort(order.perm)
+    cols = [slice(K.indptr[p], K.indptr[p + 1]) for p in order.perm]
+    indptr = np.cumsum([0] + [c.stop - c.start for c in cols])
+    return scipy.sparse.csc_matrix((np.concatenate([K.data[c] for c in cols]),
+                                    np.concatenate([old[K.indices[c]] for c in cols]), indptr),
+                                   shape=K.shape)
+
+
 def _handed_matrices(monkeypatch, nlp, x, shifts):
     """g and the matrices handed to SuperLU along a shift ladder, all from
-    one Newton-system object, each in the system's own labels."""
-    made, handed = [], []
-    matrix = newton._NewtonSystem.matrix
+    one Newton-system object, each in the system's own labels.  Every
+    ladder's later shifts include one of an ordered pattern, whose matrix
+    is a gather of the plan's slot values."""
+    handed, ordered = [], []
+    factor = newton._factor
 
-    def spy(system, shift, order=None):
-        made.append(matrix(system, shift))
-        return matrix(system, shift, order)
+    def spy(K, order=None):
+        handed.append(_in_plan_labels(K, order))
+        ordered.append(order is not None)
+        return factor(K, order)
 
-    monkeypatch.setattr(newton._NewtonSystem, "matrix", spy)
+    monkeypatch.setattr(newton, "_factor", spy)
     g, system = nlp.newton_system(x)
     for shift in shifts:
-        made.clear()
         try:
             system.solve(shift)
         except RuntimeError:  # exactly singular: the matrix was still handed
             pass
-        # the first matrix is factored; the saddle form makes it once more
-        # to form its refinement residual
-        handed.append(made[0])
-    monkeypatch.setattr(newton._NewtonSystem, "matrix", matrix)
+    monkeypatch.setattr(newton, "_factor", factor)
+    assert len(handed) == len(shifts) and any(ordered)
     return g, handed
 
 

@@ -81,9 +81,10 @@ def test_second_trial_not_a_descent_direction(monkeypatch):
     # negative definite: small shifts give ascent directions, until the
     # shift outweighs the matrix
     system, g, mu = first_refusal(monkeypatch, "pbf", 3)
-    H = scipy.sparse.csc_matrix((system.data, system.indices, system.indptr))
-    system.data[system.diag] -= 2.0 * abs(H).sum(axis=1).max()
-    system.diag_scale = float(np.max(np.abs(system.data[system.diag])))
+    plan = system.plan
+    H = scipy.sparse.csc_matrix((system.values, plan.indices, plan.indptr))
+    system.values[plan.diag] -= 2.0 * abs(H).sum(axis=1).max()
+    system.diag_scale = float(np.max(np.abs(system.values[plan.diag])))
     d, shift, tried = ladder(system, g, mu)
     assert len(tried) > 2 and d is not None and shift == tried[-1]
     for previous, later in zip(tried, tried[1:]):
@@ -100,7 +101,7 @@ def test_zero_matrix_costs_two_factorizations():
     space = FESpace(uniform_mesh(0.0, 1.0, 3), 2, 1, 0)
     nlp = TranscribedNLP(problem, space, params=PenaltyBarrierParams(1e-2, 1e-2))
     g, system = nlp.newton_system(np.zeros(space.dimension))
-    assert not system.data.any() and system.diag_scale == 1.0
+    assert not system.values.any() and system.diag_scale == 1.0
     d, shift, tried = ladder(system, g, 0.0)
     assert tried == [0.0, 1e-8] and shift == 1e-8
     assert float(g @ d) < 0.0
@@ -119,8 +120,8 @@ def hand_plan(H):
 def test_regrown_plan_gets_no_stale_order(monkeypatch):
     # a plan remade with more slots, whose system leaves out the same
     # slots (none) as the old plan's: the orders are the plan's own, so the
-    # new system is ordered afresh, not in the old pattern's order and
-    # relabelled structure
+    # new system is ordered and gathered afresh, not by the old pattern's
+    # order and gather
     rng = np.random.default_rng(3)
     old = scipy.sparse.random(12, 12, density=0.2, random_state=rng, format="csc")
     old = old + scipy.sparse.diags(10.0 + rng.random(12))
@@ -129,8 +130,9 @@ def test_regrown_plan_gets_no_stale_order(monkeypatch):
     rhs = rng.standard_normal(12)
     systems = [plan.system(values, None, 1.0, rhs) for plan, values in map(hand_plan, (old, new))]
     a, b = systems
-    assert a.pattern(0.0) == b.pattern(0.0) and a.orders is not b.orders
-    assert len(b.data) > len(a.data)
+    assert a.left_out(0.0).tobytes() == b.left_out(0.0).tobytes()
+    assert a.plan.orders is not b.plan.orders
+    assert len(b.values) > len(a.values)
     ordered = []
     factor = newton._factor
 
@@ -144,10 +146,10 @@ def test_regrown_plan_gets_no_stale_order(monkeypatch):
         assert same_bits(system.solve(0.0), scipy.sparse.linalg.splu(K).solve(rhs))
     assert ordered == [False, True, False, True]
     # each plan's order was made at its first solve and kept, with the
-    # relabelled structure its second solve made
+    # gather its second solve made
     for system in systems:
-        (order,) = system.orders.values()
-        assert order.indices is not None and len(order.indices) == len(system.indices)
+        (order,) = system.plan.orders.values()
+        assert order.take is not None and len(order.take) == system.matrix(0.0).nnz
 
 
 def recorded_shifts(monkeypatch):
